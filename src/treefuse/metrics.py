@@ -3,7 +3,8 @@ and precision of the top-k predicted labels.
 
 Conventions a reimplementation must match: F1 with a zero denominator is 0;
 AUC uses the rank formulation with half credit for ties; a label whose gold
-column is single-class has no AUC and is skipped by the macro average;
+column is single-class has no AUC and is skipped by the macro average
+(`compute_all` reports an AUC undefined for the whole batch as NaN);
 top-k ties are broken toward the lower label index.
 """
 
@@ -138,11 +139,19 @@ def precision_at_k(batch: PredictionBatch, k: int) -> float:
     return float(np.mean(fractions))
 
 
+def _nan_if_undefined(metric, batch: PredictionBatch) -> float:
+    try:
+        return metric(batch)
+    except ValueError:
+        return float("nan")
+
+
 def compute_all(batch: PredictionBatch, k: int = 5) -> dict[str, float]:
-    """The full report: AUCs, F1s, and P@k under the standard conventions."""
+    """The full report: AUCs, F1s, and P@k under the standard conventions.
+    An AUC that is undefined for this gold matrix is reported as NaN."""
     return {
-        "macro_auc": macro_auc(batch),
-        "micro_auc": micro_auc(batch),
+        "macro_auc": _nan_if_undefined(macro_auc, batch),
+        "micro_auc": _nan_if_undefined(micro_auc, batch),
         "macro_f1": macro_f1(batch),
         "micro_f1": micro_f1(batch),
         f"precision_at_{k}": precision_at_k(batch, k),

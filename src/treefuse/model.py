@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -60,49 +60,57 @@ class ModelDims:
             raise ValueError("every tree needs at least one leaf")
 
 
-@dataclass
-class ModelParams:
-    """All learnable arrays. The multimodal width d_m equals d_h, so the
-    text-only mode can reuse every downstream shape."""
+def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """Every learnable array by name and shape, in initialisation order.
 
-    dims: ModelDims
-    word_emb: Tensor
-    lstm_fwd_wx: Tensor
-    lstm_fwd_wh: Tensor
-    lstm_fwd_b: Tensor
-    lstm_bwd_wx: Tensor
-    lstm_bwd_wh: Tensor
-    lstm_bwd_b: Tensor
-    query_proj: Tensor
-    tree_keys: Tensor
-    leaf_tables: list[Tensor] = field(default_factory=list)
-    fuse_proj: Tensor = None
-    label_attn: Tensor = None
-    out_weight: Tensor = None
-    out_bias: Tensor = None
+    ``leaf_table`` stacks the trees' leaf embeddings: tree t owns rows
+    ``offset[t] .. offset[t] + leaf_counts[t] - 1``, where ``offset`` is the
+    prefix sum of ``leaf_counts``. A checkpoint (format version 2) stores
+    one array per name here.
+    """
+    d, d_h = dims.d_lstm, dims.d_h
+    return {
+        "word_emb": (dims.vocab_size, dims.d_e),
+        "lstm_fwd_wx": (4 * d, dims.d_e),
+        "lstm_fwd_wh": (4 * d, d),
+        "lstm_fwd_b": (4 * d,),
+        "lstm_bwd_wx": (4 * d, dims.d_e),
+        "lstm_bwd_wh": (4 * d, d),
+        "lstm_bwd_b": (4 * d,),
+        "query_proj": (dims.d_t, d_h),
+        "tree_keys": (dims.d_t, dims.n_trees),
+        "leaf_table": (sum(dims.leaf_counts), dims.d_l),
+        "fuse_proj": (d_h, d_h + dims.d_l),
+        "label_attn": (d_h, dims.n_labels),
+        "out_weight": (dims.n_labels, d_h),
+        "out_bias": (dims.n_labels,),
+    }
+
+
+class ModelParams:
+    """All learnable arrays, one attribute per ``param_shapes`` name.
+
+    The leaf embeddings of every tree live in the single ``leaf_table``
+    (rows laid out as ``param_shapes`` describes; checkpoint format v2).
+    The multimodal width d_m equals d_h, so the text-only mode can reuse
+    every downstream shape.
+    """
+
+    def __init__(self, dims: ModelDims, tensors: dict[str, Tensor]):
+        self.dims = dims
+        self.tensors = tensors
+
+    def __getattr__(self, name: str) -> Tensor:
+        try:
+            return self.__dict__["tensors"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def named(self) -> list[tuple[str, Tensor]]:
-        pairs = [
-            ("word_emb", self.word_emb),
-            ("lstm_fwd_wx", self.lstm_fwd_wx),
-            ("lstm_fwd_wh", self.lstm_fwd_wh),
-            ("lstm_fwd_b", self.lstm_fwd_b),
-            ("lstm_bwd_wx", self.lstm_bwd_wx),
-            ("lstm_bwd_wh", self.lstm_bwd_wh),
-            ("lstm_bwd_b", self.lstm_bwd_b),
-            ("query_proj", self.query_proj),
-            ("tree_keys", self.tree_keys),
-            ("fuse_proj", self.fuse_proj),
-            ("label_attn", self.label_attn),
-            ("out_weight", self.out_weight),
-            ("out_bias", self.out_bias),
-        ]
-        for t, table in enumerate(self.leaf_tables):
-            pairs.append((f"leaf_table_{t:04d}", table))
-        return pairs
+        return list(self.tensors.items())
 
     def all(self) -> list[Tensor]:
-        return [t for _, t in self.named()]
+        return list(self.tensors.values())
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named()}
@@ -118,38 +126,23 @@ def _glorot(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def init_params(dims: ModelDims, rng) -> ModelParams:
-    """Fresh parameters: uniform(-0.1, 0.1) embeddings, Glorot-bounded
-    weight matrices, zero biases with the forget gate nudged to +1."""
+    """Fresh parameters: uniform(-0.1, 0.1) embeddings and tree keys,
+    Glorot-bounded weight matrices, zero biases with the LSTM forget gate
+    nudged to +1."""
     dims.validate()
-    d, d_h = dims.d_lstm, dims.d_h
-
-    def lstm_bias() -> np.ndarray:
-        b = np.zeros(4 * d)
-        b[d : 2 * d] = 1.0  # forget gate: remember by default
-        return b
-
-    return ModelParams(
-        dims=dims,
-        word_emb=Tensor(rng.uniform(-0.1, 0.1, size=(dims.vocab_size, dims.d_e)),
-                        requires_grad=True),
-        lstm_fwd_wx=Tensor(_glorot(rng, 4 * d, dims.d_e), requires_grad=True),
-        lstm_fwd_wh=Tensor(_glorot(rng, 4 * d, d), requires_grad=True),
-        lstm_fwd_b=Tensor(lstm_bias(), requires_grad=True),
-        lstm_bwd_wx=Tensor(_glorot(rng, 4 * d, dims.d_e), requires_grad=True),
-        lstm_bwd_wh=Tensor(_glorot(rng, 4 * d, d), requires_grad=True),
-        lstm_bwd_b=Tensor(lstm_bias(), requires_grad=True),
-        query_proj=Tensor(_glorot(rng, dims.d_t, d_h), requires_grad=True),
-        tree_keys=Tensor(rng.uniform(-0.1, 0.1, size=(dims.d_t, dims.n_trees)),
-                         requires_grad=True),
-        leaf_tables=[
-            Tensor(rng.uniform(-0.1, 0.1, size=(count, dims.d_l)), requires_grad=True)
-            for count in dims.leaf_counts
-        ],
-        fuse_proj=Tensor(_glorot(rng, d_h, d_h + dims.d_l), requires_grad=True),
-        label_attn=Tensor(_glorot(rng, d_h, dims.n_labels), requires_grad=True),
-        out_weight=Tensor(_glorot(rng, dims.n_labels, d_h), requires_grad=True),
-        out_bias=Tensor(np.zeros(dims.n_labels), requires_grad=True),
-    )
+    d = dims.d_lstm
+    tensors = {}
+    for name, shape in param_shapes(dims).items():
+        if name in ("word_emb", "tree_keys", "leaf_table"):
+            data = rng.uniform(-0.1, 0.1, size=shape)
+        elif len(shape) == 1:
+            data = np.zeros(shape)
+            if name.startswith("lstm_"):
+                data[d : 2 * d] = 1.0  # forget gate: remember by default
+        else:
+            data = _glorot(rng, *shape)
+        tensors[name] = Tensor(data, requires_grad=True)
+    return ModelParams(dims, tensors)
 
 
 def encode_text(token_ids: np.ndarray, params: ModelParams) -> Tensor:
@@ -167,18 +160,23 @@ def encode_text(token_ids: np.ndarray, params: ModelParams) -> Tensor:
 
 def assemble_leaf_matrix(assignment: np.ndarray, params: ModelParams) -> Tensor:
     """Activated-leaf embeddings as a d_l x n_trees matrix, one column per
-    tree."""
+    tree. Each leaf id must be in range for its own tree."""
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (len(params.leaf_tables),):
+    counts = np.asarray(params.dims.leaf_counts, dtype=np.int64)
+    if assignment.shape != counts.shape:
         raise ValueError(
             f"assignment length {assignment.shape} does not match "
-            f"{len(params.leaf_tables)} trees"
+            f"{len(counts)} trees"
         )
-    rows = [
-        ad.gather(table, assignment[t : t + 1])
-        for t, table in enumerate(params.leaf_tables)
-    ]
-    return ad.transpose2d(ad.concat(rows, axis=0))
+    bad = np.flatnonzero((assignment < 0) | (assignment >= counts))
+    if bad.size:
+        t = int(bad[0])
+        raise IndexError(
+            f"leaf {int(assignment[t])} out of range [0, {int(counts[t])}) "
+            f"for tree {t}"
+        )
+    rows = np.cumsum(counts) - counts + assignment
+    return ad.transpose2d(ad.gather(params.leaf_table, rows))
 
 
 def fuse(H: Tensor, leaf_matrix: Tensor | None, params: ModelParams,
@@ -395,15 +393,7 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
     """Named-array archive with a JSON metadata blob; exact round-trip."""
     payload = dict(meta)
     payload["format_version"] = CHECKPOINT_FORMAT_VERSION
-    payload["dims"] = {
-        "vocab_size": params.dims.vocab_size,
-        "n_labels": params.dims.n_labels,
-        "leaf_counts": list(params.dims.leaf_counts),
-        "d_e": params.dims.d_e,
-        "d_lstm": params.dims.d_lstm,
-        "d_t": params.dims.d_t,
-        "d_l": params.dims.d_l,
-    }
+    payload["dims"] = asdict(params.dims)
     arrays = {name: t.data for name, t in params.named()}
     np.savez(path, meta_json=np.array(json.dumps(payload, sort_keys=True)), **arrays)
 
@@ -422,20 +412,13 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             d_e=int(d["d_e"]), d_lstm=int(d["d_lstm"]),
             d_t=int(d["d_t"]), d_l=int(d["d_l"]),
         )
-
-        def t(name: str) -> Tensor:
-            return Tensor(archive[name].copy(), requires_grad=True)
-
-        params = ModelParams(
-            dims=dims,
-            word_emb=t("word_emb"),
-            lstm_fwd_wx=t("lstm_fwd_wx"), lstm_fwd_wh=t("lstm_fwd_wh"),
-            lstm_fwd_b=t("lstm_fwd_b"),
-            lstm_bwd_wx=t("lstm_bwd_wx"), lstm_bwd_wh=t("lstm_bwd_wh"),
-            lstm_bwd_b=t("lstm_bwd_b"),
-            query_proj=t("query_proj"), tree_keys=t("tree_keys"),
-            leaf_tables=[t(f"leaf_table_{i:04d}") for i in range(dims.n_trees)],
-            fuse_proj=t("fuse_proj"), label_attn=t("label_attn"),
-            out_weight=t("out_weight"), out_bias=t("out_bias"),
-        )
-    return params, meta
+        tensors = {}
+        for name, shape in param_shapes(dims).items():
+            array = archive[name] if name in archive.files else None
+            if array is None or array.shape != shape:
+                found = "missing" if array is None else f"shape {array.shape}"
+                raise ValueError(
+                    f"{path}: array {name!r} is {found}, expected shape {shape}"
+                )
+            tensors[name] = Tensor(array.copy(), requires_grad=True)
+    return ModelParams(dims, tensors), meta

@@ -75,9 +75,6 @@ class FeatureTable:
     # rows x schema.width(), float64, np.nan = MISSING
     values: np.ndarray
 
-    def row(self, admission_id: str) -> np.ndarray:
-        return self.values[self.admission_ids.index(admission_id)]
-
 
 def _is_numeric(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -93,7 +90,9 @@ def aggregate_time_series(series) -> tuple[float, float, float]:
         return (np.nan, np.nan, np.nan)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite value in time series")
-    return (float(np.mean(vals)), float(np.max(vals)), float(np.min(vals)))
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    # np.mean can round just outside the range, e.g. one ulp below x for [x, x, x]
+    return (min(max(float(np.mean(vals)), lo), hi), hi, lo)
 
 
 def binarize_multivalued(records, schema: FeatureSchema) -> np.ndarray:

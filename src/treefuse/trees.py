@@ -252,24 +252,8 @@ def assign_leaves(ensemble: TreeEnsemble, row: np.ndarray) -> np.ndarray:
     return np.array([route_row(t, row).leaf_id for t in ensemble.trees], dtype=np.int64)
 
 
-def leaf_offsets(ensemble: TreeEnsemble) -> np.ndarray:
-    """Prefix sums of per-tree leaf counts, for global leaf indexing."""
-    if not ensemble.trees:
-        raise ValueError("ensemble has no trees")
-    counts = [t.leaf_count for t in ensemble.trees]
-    return np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int64)
-
-
 def total_leaves(ensemble: TreeEnsemble) -> int:
     return sum(t.leaf_count for t in ensemble.trees)
-
-
-def to_multi_hot(ensemble: TreeEnsemble, assignment: np.ndarray) -> np.ndarray:
-    """Concatenated one-hot leaf indicator over all trees; one 1 per tree."""
-    offsets = leaf_offsets(ensemble)
-    q = np.zeros(total_leaves(ensemble), dtype=np.float64)
-    q[offsets + assignment] = 1.0
-    return q
 
 
 def predict_margin(tree: DecisionTree, row: np.ndarray) -> float:

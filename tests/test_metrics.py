@@ -223,6 +223,14 @@ class TestReport:
             "macro_auc", "micro_auc", "macro_f1", "micro_f1", "precision_at_3",
         }
 
+    def test_compute_all_undefined_auc_is_nan(self):
+        out = compute_all(batch(np.array([[0.5, 0.2]]), np.array([[1.0, 0.0]])), k=1)
+        assert np.isnan(out["macro_auc"])
+        assert out["micro_auc"] == 1.0
+        out = compute_all(batch(np.array([[0.5], [0.6]]), np.array([[1.0], [1.0]])), k=1)
+        assert np.isnan(out["macro_auc"]) and np.isnan(out["micro_auc"])
+        assert out["micro_f1"] == 1.0
+
     def test_format_round_trips_floats(self):
         metrics = {"micro_f1": 1.0 / 3.0, "macro_auc": 0.875}
         text = format_metrics(metrics)

@@ -95,8 +95,9 @@ class TestLeafMatrix:
         a = np.array([2, 1])
         L = assemble_leaf_matrix(a, params)
         assert L.data.shape == (TOY.d_l, 2)
-        np.testing.assert_array_equal(L.data[:, 0], params.leaf_tables[0].data[2])
-        np.testing.assert_array_equal(L.data[:, 1], params.leaf_tables[1].data[1])
+        # tree 1's rows start after tree 0's three leaves
+        np.testing.assert_array_equal(L.data[:, 0], params.leaf_table.data[2])
+        np.testing.assert_array_equal(L.data[:, 1], params.leaf_table.data[3 + 1])
 
     def test_identical_assignments_identical_matrices(self):
         params = toy_params()
@@ -110,6 +111,12 @@ class TestLeafMatrix:
         params = toy_params()
         with pytest.raises(IndexError):
             assemble_leaf_matrix(np.array([0, 99]), params)
+        # leaf 3 is a row of the merged table (tree 1's first leaf) but is
+        # out of range for tree 0, which has three leaves
+        with pytest.raises(IndexError, match="tree 0"):
+            assemble_leaf_matrix(np.array([3, 0]), params)
+        with pytest.raises(IndexError, match="tree 1"):
+            assemble_leaf_matrix(np.array([0, -1]), params)
 
     def test_wrong_length_rejected(self):
         params = toy_params()
@@ -123,10 +130,11 @@ class TestLeafMatrix:
             L = assemble_leaf_matrix(a, params)
             loss = __import__("treefuse.autodiff", fromlist=["reduce_sum"]).reduce_sum(L)
         backward(tape, loss)
-        g0 = params.leaf_tables[0].grad
-        assert g0 is not None
-        np.testing.assert_array_equal(g0[1], np.ones(TOY.d_l))
-        rest = np.delete(g0, 1, axis=0)
+        g = params.leaf_table.grad
+        assert g is not None
+        activated = [1, 3 + 3]  # tree 1's rows start after tree 0's three leaves
+        np.testing.assert_array_equal(g[activated], np.ones((2, TOY.d_l)))
+        rest = np.delete(g, activated, axis=0)
         np.testing.assert_array_equal(rest, np.zeros_like(rest))
 
 
@@ -288,8 +296,7 @@ class TestTraining:
             for _ in range(n_docs)
         ]
         targets = rng.integers(0, 2, size=(n_docs, dims.n_labels)).astype(float)
-        targets[0] = [1, 0, 1]
-        targets[1] = [0, 1, 0]
+        targets[:2] = [[1, 0, 1], [0, 1, 0]][:n_docs]
         return docs, assignments, targets
 
     def test_memorizes_single_example(self):
@@ -300,6 +307,20 @@ class TestTraining:
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         assert result.log_rows[-1]["train_loss"] < 1e-2
+
+    def test_one_document_validation_split(self):
+        # every label of a one-document split is single-class, so macro AUC
+        # is undefined; training still runs and selects on micro-F1
+        params = toy_params(seed=16)
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=2, seed=7, metric_k=2)
+        result = train_model(params, docs[:3], assignments[:3], targets[:3],
+                             docs[3:], assignments[3:], targets[3:], settings)
+        assert len(result.log_rows) == 2
+        for row in result.log_rows:
+            assert np.isnan(row["val_macro_auc"])
+            assert 0.0 <= row["val_micro_f1"] <= 1.0
+        assert result.best_epoch in (0, 1)
 
     def test_zero_lr_keeps_params(self):
         params = toy_params(seed=8)
@@ -406,6 +427,21 @@ class TestCheckpoint:
         arrays["meta_json"] = np.array(json.dumps(meta))
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["missing", "misshaped"])
+    def test_bad_array_rejected(self, tmp_path, damage):
+        params = toy_params(seed=24)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, params, {})
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        if damage == "missing":
+            del arrays["leaf_table"]
+        else:
+            arrays["leaf_table"] = arrays["leaf_table"][:-1]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="ckpt.npz.*leaf_table"):
             load_checkpoint(path)
 
 

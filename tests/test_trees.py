@@ -13,12 +13,10 @@ from treefuse.trees import (
     assign_leaves,
     ensemble_sha256,
     ensemble_to_dict,
-    leaf_offsets,
     load_ensemble,
     predict_margin,
     predict_probability,
     save_ensemble,
-    to_multi_hot,
     total_leaves,
     train_ensemble,
     train_tree,
@@ -265,7 +263,7 @@ class TestLeafPlumbing:
         a2 = assign_leaves(ens, row)
         np.testing.assert_array_equal(a1, a2)
 
-    def test_offsets_prefix_sums(self):
+    def test_total_leaves_sums_counts(self):
         def fake(leaves, idx):
             return DecisionTree(label_index=idx, n_features=1,
                                 nodes=[], leaf_count=leaves)
@@ -274,27 +272,7 @@ class TestLeafPlumbing:
             trees=[fake(2, 0), fake(3, 1), fake(1, 2)],
             config=TreeTrainConfig(), n_features=1,
         )
-        np.testing.assert_array_equal(leaf_offsets(ens), [0, 2, 5])
         assert total_leaves(ens) == 6
-
-    def test_offsets_single_tree(self):
-        ens = TreeEnsemble(
-            trees=[DecisionTree(0, 1, [], 4)], config=TreeTrainConfig(), n_features=1,
-        )
-        np.testing.assert_array_equal(leaf_offsets(ens), [0])
-
-    def test_offsets_empty_ensemble_rejected(self):
-        ens = TreeEnsemble(trees=[], config=TreeTrainConfig(), n_features=1)
-        with pytest.raises(ValueError):
-            leaf_offsets(ens)
-
-    def test_multi_hot_has_one_bit_per_tree(self):
-        ens, x = self.make_ensemble(seed=9)
-        for row in x[:10]:
-            q = to_multi_hot(ens, assign_leaves(ens, row))
-            assert q.shape == (total_leaves(ens),)
-            assert q.sum() == len(ens.trees)
-            assert set(np.unique(q)) <= {0.0, 1.0}
 
 
 class TestSerialization:

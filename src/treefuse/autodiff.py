@@ -113,13 +113,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    # piecewise form never exponentiates a positive argument, so no overflow
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) otherwise, computed
+    # without masks: exp only ever sees -|x| <= 0, so it never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +381,22 @@ def lstm_sequence(
 
     ``emb`` is N x d_e; gate weights are packed [input, forget, cell, output]
     along the first axis: ``w_input`` 4d x d_e, ``w_hidden`` 4d x d, ``bias``
-     4d. Initial hidden and cell states are zero. Output row i is the hidden
+    4d. Initial hidden and cell states are zero. Output row i is the hidden
     state at token i (for ``reverse`` the recurrence runs from the last token,
     rows stay aligned with the input). Backward is truncated nowhere: full
     backpropagation through time, recorded as one tape node.
+
+    Buffers are indexed by step k, the k-th token visited. ``gates`` is
+    N x 4d: one sigmoid over the packed pre-activation per step, with the
+    cell slice then overwritten by tanh. ``hs``/``cs`` are (N+1) x d with
+    row 0 the zero initial state, so ``hs[:-1]`` holds every step's previous
+    hidden state; ``tanh_c`` is N x d. The forward output is bitwise equal to
+    evaluating the gates one slice at a time. Backward runs only the
+    recurrence in the loop: the gate-local derivatives are precomputed, each
+    step writes its pre-activation gradient into one row of ``dpre``, and
+    the weight, bias and input gradients are single products over all of
+    ``dpre`` after the loop. Those sums run in a different order from a
+    per-step accumulation, so gradients agree with it to rounding.
     """
     E = emb.data
     if E.ndim != 2:
@@ -402,67 +411,58 @@ def lstm_sequence(
         raise ValueError(f"lstm input width {wx.shape[1]} != embedding width {E.shape[1]}")
 
     n = E.shape[0]
-    order = range(n - 1, -1, -1) if reverse else range(n)
     pre = E @ wx.T + b
+    if reverse:
+        pre = pre[::-1]
 
-    H = np.empty((n, d))
-    gi = np.empty((n, d))
-    gf = np.empty((n, d))
-    gc = np.empty((n, d))
-    go = np.empty((n, d))
-    cells = np.empty((n, d))
-    tanh_cells = np.empty((n, d))
-    h_prev = np.empty((n, d))
-    c_prev = np.empty((n, d))
+    gates = np.empty((n, 4 * d))
+    hs = np.zeros((n + 1, d))
+    cs = np.zeros((n + 1, d))
+    tanh_c = np.empty((n, d))
+    for k in range(n):
+        z = pre[k] + wh @ hs[k]
+        a = gates[k]
+        a[:] = _sigmoid_arr(z)
+        np.tanh(z[2 * d : 3 * d], out=a[2 * d : 3 * d])
+        cs[k + 1] = a[d : 2 * d] * cs[k] + a[:d] * a[2 * d : 3 * d]
+        np.tanh(cs[k + 1], out=tanh_c[k])
+        hs[k + 1] = a[3 * d :] * tanh_c[k]
 
-    h = np.zeros(d)
-    c = np.zeros(d)
-    for t in order:
-        z = pre[t] + wh @ h
-        i_t = _sigmoid_arr(z[:d])
-        f_t = _sigmoid_arr(z[d : 2 * d])
-        g_t = np.tanh(z[2 * d : 3 * d])
-        o_t = _sigmoid_arr(z[3 * d :])
-        h_prev[t] = h
-        c_prev[t] = c
-        c = f_t * c + i_t * g_t
-        h = o_t * np.tanh(c)
-        gi[t], gf[t], gc[t], go[t] = i_t, f_t, g_t, o_t
-        cells[t] = c
-        tanh_cells[t] = np.tanh(c)
-        H[t] = h
-
-    out = Tensor(H)
+    out = Tensor(hs[:0:-1].copy() if reverse else hs[1:])
 
     def bw(G: np.ndarray) -> None:
+        gi, gf, gc, go = (gates[:, j * d : (j + 1) * d] for j in range(4))
+        # d(loss)/dc through h = o * tanh(c)
+        o_dtanh = go * (1.0 - tanh_c * tanh_c)
+        # dpre = [dc, dc, dc, dh] * local: each gate's partner times the
+        # derivative of its own nonlinearity
+        local = gates * (1.0 - gates)
+        local[:, 2 * d : 3 * d] = 1.0 - gc * gc
+        local[:, :d] *= gc
+        local[:, d : 2 * d] *= cs[:-1]
+        local[:, 2 * d : 3 * d] *= gi
+        local[:, 3 * d :] *= tanh_c
+
+        Gs = G[::-1] if reverse else G
+        whT = np.ascontiguousarray(wh.T)
         dpre = np.empty((n, 4 * d))
-        dwh = np.zeros_like(wh)
-        db = np.zeros_like(b)
+        dpre4 = dpre.reshape(n, 4, d)
         dh_next = np.zeros(d)
         dc_next = np.zeros(d)
-        for t in reversed(order):
-            dh = G[t] + dh_next
-            do = dh * tanh_cells[t]
-            dct = dh * go[t] * (1.0 - tanh_cells[t] ** 2) + dc_next
-            di = dct * gc[t]
-            dg = dct * gi[t]
-            df = dct * c_prev[t]
-            dc_next = dct * gf[t]
-            dz = np.concatenate(
-                [
-                    di * gi[t] * (1.0 - gi[t]),
-                    df * gf[t] * (1.0 - gf[t]),
-                    dg * (1.0 - gc[t] ** 2),
-                    do * go[t] * (1.0 - go[t]),
-                ]
-            )
-            dpre[t] = dz
-            dwh += np.outer(dz, h_prev[t])
-            db += dz
-            dh_next = wh.T @ dz
+        for k in range(n - 1, -1, -1):
+            dh = Gs[k] + dh_next
+            dc = dh * o_dtanh[k] + dc_next
+            dpre4[k, :3] = dc
+            dpre4[k, 3] = dh
+            dpre[k] *= local[k]
+            dc_next = dc * gf[k]
+            dh_next = whT @ dpre[k]
+
+        _accum(w_hidden, dpre.T @ hs[:-1])
+        _accum(bias, dpre.sum(axis=0))
+        if reverse:
+            dpre = dpre[::-1]
         _accum(w_input, dpre.T @ E)
-        _accum(w_hidden, dwh)
-        _accum(bias, db)
         _accum(emb, dpre @ wx)
 
     return _finish(out, (emb, w_input, w_hidden, bias), bw)
@@ -513,7 +513,8 @@ def sgd_step(params: list[Tensor], lr: float) -> None:
 
 
 def clip_gradients(params: list[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+    """Scale all gradients so their global L2 norm is at most ``max_norm``;
+    a ``max_norm`` <= 0 scales nothing.
 
     Returns the pre-clip norm.
     """

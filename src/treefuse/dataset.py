@@ -18,22 +18,33 @@ class DatasetError(ValueError):
     pass
 
 
-def _read_jsonl(path):
+def read_jsonl(path, error: type[ValueError], required: tuple[str, ...]):
+    """Yield the JSON object on each nonblank line of ``path``.
+
+    A line that does not parse, is not an object, or lacks one of the
+    ``required`` keys raises ``error`` naming ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: bad record: {exc}") from exc
+                raise error(f"{path}:{lineno}: bad record: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise error(f"{path}:{lineno}: record is a {type(rec).__name__}, not an object")
+            for key in required:
+                if key not in rec:
+                    raise error(f"{path}:{lineno}: record has no {key!r}")
+            yield rec
 
 
 def load_notes(path) -> dict[str, str]:
     """admission_id -> document text, in file order."""
     notes: dict[str, str] = {}
-    for rec in _read_jsonl(path):
+    for rec in read_jsonl(path, DatasetError, ("admission_id", "text")):
         aid = str(rec["admission_id"])
         if aid in notes:
             raise DatasetError(f"duplicate admission_id in notes: {aid}")
@@ -51,7 +62,7 @@ def save_notes(notes: dict[str, str], path) -> None:
 def load_labels(path) -> dict[str, list[str]]:
     """admission_id -> list of gold label names."""
     labels: dict[str, list[str]] = {}
-    for rec in _read_jsonl(path):
+    for rec in read_jsonl(path, DatasetError, ("admission_id", "labels")):
         aid = str(rec["admission_id"])
         if aid in labels:
             raise DatasetError(f"duplicate admission_id in labels: {aid}")

@@ -279,7 +279,7 @@ class TrainSettings:
 
 
 LOG_COLUMNS = (
-    "epoch", "train_loss", "val_macro_auc", "val_micro_auc",
+    "epoch", "train_loss", "train_grad_norm", "val_macro_auc", "val_micro_auc",
     "val_macro_f1", "val_micro_f1", "val_precision_at_k", "train_micro_f1",
 )
 
@@ -331,6 +331,7 @@ def train_model(
     for epoch in range(settings.epochs):
         order = shuffle_rng.permutation(n)
         loss_total = 0.0
+        grad_norm_total = 0.0
         for i in order:
             assignment = None if train_assignments is None else train_assignments[i]
             ad.zero_grads(tensors)
@@ -346,8 +347,7 @@ def train_model(
                     f"document index {int(i)}"
                 )
             backward(tape, loss)
-            if settings.clip_norm and settings.clip_norm > 0:
-                ad.clip_gradients(tensors, settings.clip_norm)
+            grad_norm_total += ad.clip_gradients(tensors, settings.clip_norm)
             if settings.optimizer == "adam":
                 ad.adam_step(tensors, adam)
             else:
@@ -367,6 +367,7 @@ def train_model(
         row = {
             "epoch": epoch,
             "train_loss": loss_total / n,
+            "train_grad_norm": grad_norm_total / n,
             "val_macro_auc": val_metrics["macro_auc"],
             "val_micro_auc": val_metrics["micro_auc"],
             "val_macro_f1": val_metrics["macro_f1"],

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import read_jsonl
+
 SCHEMA_FORMAT_VERSION = 1
 
 MULTIVALUED_CATEGORIES = frozenset(
@@ -233,18 +235,6 @@ def build_feature_table(record_sets) -> tuple[FeatureTable, FeatureSchema]:
 # ---------------------------------------------------------------------------
 # Disk formats: three JSONL inputs per split, JSON schema, JSONL table.
 
-def _read_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}:{lineno}: bad record: {exc}") from exc
-
-
 def load_record_sets(timeseries_path, events_path, singletons_path) -> list[StructuredRecordSet]:
     """Group the three record files by admission.
 
@@ -259,19 +249,21 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
             by_id[aid] = StructuredRecordSet(admission_id=aid)
         return by_id[aid]
 
-    for rec in _read_jsonl(timeseries_path):
+    for rec in read_jsonl(
+        timeseries_path, RecordError, ("admission_id", "class_id", "timestamp", "value")
+    ):
         rs = get(rec["admission_id"])
         rs.time_series.setdefault(str(rec["class_id"]), []).append(
             (float(rec["timestamp"]), float(rec["value"]))
         )
-    for rec in _read_jsonl(events_path):
+    for rec in read_jsonl(events_path, RecordError, ("admission_id", "category", "item_id")):
         category = str(rec["category"])
         if category not in MULTIVALUED_CATEGORIES:
             raise RecordError(
                 f"admission {rec['admission_id']}: unknown event category {category!r}"
             )
         get(rec["admission_id"]).multivalued.append((category, str(rec["item_id"])))
-    for rec in _read_jsonl(singletons_path):
+    for rec in read_jsonl(singletons_path, RecordError, ("admission_id", "field", "value")):
         get(rec["admission_id"]).singletons[str(rec["field"])] = rec["value"]
     return list(by_id.values())
 
@@ -329,7 +321,7 @@ def save_feature_table(table: FeatureTable, path) -> None:
 def load_feature_table(path, schema: FeatureSchema) -> FeatureTable:
     ids = []
     rows = []
-    for rec in _read_jsonl(path):
+    for rec in read_jsonl(path, RecordError, ("admission_id", "cells")):
         cells = rec["cells"]
         if len(cells) != schema.width():
             raise RecordError(

@@ -83,6 +83,71 @@ def scalar_lstm_states(tokens, wx, wh, b):
     return states
 
 
+def piecewise_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) where x >= 0 and exp(x)/(1+exp(x)) elsewhere, by masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def stepwise_lstm(emb, wx, wh, b, upstream, reverse=False):
+    """One LSTM direction with per-step backpropagation through time.
+
+    Gates are evaluated one slice at a time and every weight gradient is
+    accumulated inside the backward loop (one outer product per step).
+    ``upstream`` is d(loss)/d(hidden states), same shape as the output.
+    Returns (hidden states, d_emb, d_wx, d_wh, d_b).
+    """
+    n = emb.shape[0]
+    d = wh.shape[1]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    pre = emb @ wx.T + b
+    states = np.empty((n, d))
+    gi, gf, gc, go = (np.empty((n, d)) for _ in range(4))
+    tanh_cells, h_prev, c_prev = (np.empty((n, d)) for _ in range(3))
+    h = np.zeros(d)
+    c = np.zeros(d)
+    for t in order:
+        z = pre[t] + wh @ h
+        gi[t] = piecewise_sigmoid(z[:d])
+        gf[t] = piecewise_sigmoid(z[d : 2 * d])
+        gc[t] = np.tanh(z[2 * d : 3 * d])
+        go[t] = piecewise_sigmoid(z[3 * d :])
+        h_prev[t] = h
+        c_prev[t] = c
+        c = gf[t] * c + gi[t] * gc[t]
+        tanh_cells[t] = np.tanh(c)
+        h = go[t] * tanh_cells[t]
+        states[t] = h
+
+    dpre = np.empty((n, 4 * d))
+    dwh = np.zeros_like(wh)
+    db = np.zeros_like(b)
+    dh_next = np.zeros(d)
+    dc_next = np.zeros(d)
+    for t in reversed(order):
+        dh = upstream[t] + dh_next
+        do = dh * tanh_cells[t]
+        dct = dh * go[t] * (1.0 - tanh_cells[t] ** 2) + dc_next
+        dz = np.concatenate(
+            [
+                dct * gc[t] * gi[t] * (1.0 - gi[t]),
+                dct * c_prev[t] * gf[t] * (1.0 - gf[t]),
+                dct * gi[t] * (1.0 - gc[t] ** 2),
+                do * go[t] * (1.0 - go[t]),
+            ]
+        )
+        dc_next = dct * gf[t]
+        dpre[t] = dz
+        dwh += np.outer(dz, h_prev[t])
+        db += dz
+        dh_next = wh.T @ dz
+    return states, dpre @ wx, dpre.T @ emb, dwh, db
+
+
 def enumerate_best_split(
     x: np.ndarray,
     targets: np.ndarray,

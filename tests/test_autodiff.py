@@ -11,7 +11,13 @@ import pytest
 from treefuse import autodiff as ad
 from treefuse.autodiff import Tape, Tensor, backward
 
-from oracles import FD_STEP, finite_difference_grad, max_rel_error
+from oracles import (
+    FD_STEP,
+    finite_difference_grad,
+    max_rel_error,
+    piecewise_sigmoid,
+    stepwise_lstm,
+)
 
 RNG = np.random.default_rng(20240817)
 TRIALS = 20
@@ -129,6 +135,17 @@ class TestElementwise:
         for _ in range(TRIALS):
             run_fd_check(lambda x: sum_all(ad.sigmoid(x)),
                          [RNG.normal(size=tuple(RNG.integers(1, 5, size=2)))])
+
+    def test_sigmoid_matches_piecewise_formula(self):
+        special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+        x = np.concatenate(
+            [special] + [RNG.normal(size=10_000) * s for s in (1.0, 5.0, 50.0)]
+        )
+        got = ad._sigmoid_arr(x)
+        want = piecewise_sigmoid(x)
+        np.testing.assert_array_equal(got, want)
+        finite = ~np.isnan(want)
+        np.testing.assert_array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
 
     def test_sigmoid_known_values(self):
         out = ad.sigmoid(Tensor(np.array([0.0])))
@@ -366,6 +383,31 @@ class TestLSTM:
                 ),
                 [emb, wx, wh, b],
             )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_matches_stepwise_bptt(self, n, reverse):
+        d_in, d_hid = 6, 5
+        rng = np.random.default_rng([n, reverse])
+        emb = rng.normal(size=(n, d_in))
+        wx = rng.normal(size=(4 * d_hid, d_in)) * 0.4
+        wh = rng.normal(size=(4 * d_hid, d_hid)) * 0.4
+        b = rng.normal(size=4 * d_hid) * 0.4
+        upstream = rng.normal(size=(n, d_hid))
+        states, *grads = stepwise_lstm(emb, wx, wh, b, upstream, reverse=reverse)
+
+        tensors = [Tensor(a, requires_grad=True) for a in (emb, wx, wh, b)]
+        with Tape() as tape:
+            out = ad.lstm_sequence(*tensors, reverse=reverse)
+            loss = ad.reduce_sum(ad.mul(out, Tensor(upstream)))
+        backward(tape, loss)
+
+        np.testing.assert_array_equal(out.data, states)
+        # the weight gradients are summed in another order, so entries that
+        # nearly cancel differ more than 1e-12 of themselves; the bound is
+        # relative to each array's largest entry
+        for t, want in zip(tensors, grads):
+            np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_matches_scalar_recurrence(self):
         from oracles import scalar_lstm_states

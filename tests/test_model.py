@@ -308,6 +308,17 @@ class TestTraining:
                              docs, assignments, targets, settings)
         assert result.log_rows[-1]["train_loss"] < 1e-2
 
+    @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
+    def test_logs_pre_clip_grad_norm(self, clip_norm):
+        params = toy_params(seed=9)
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=1, seed=3, clip_norm=clip_norm, metric_k=2)
+        result = train_model(params, docs, assignments, targets,
+                             docs, assignments, targets, settings)
+        norm = result.log_rows[0]["train_grad_norm"]
+        assert np.isfinite(norm) and norm > 0.0
+        assert "train_grad_norm" in result.log_csv().splitlines()[0].split(",")
+
     def test_one_document_validation_split(self):
         # every label of a one-document split is single-class, so macro AUC
         # is undefined; training still runs and selects on micro-F1

@@ -327,3 +327,29 @@ class TestDiskFormats:
         )
         recs = load_record_sets(ts, ev, sg)
         assert recs[0].singletons == {"age": 31}
+
+    @pytest.mark.parametrize(
+        "slot, line, complaint",
+        [
+            (0, '{"admission_id": "a", "class_id": "hr", "value": 1.0}', "'timestamp'"),
+            (0, '[1, 2]', "list, not an object"),
+            (1, '{"admission_id": "a", "category": "drug"}', "'item_id'"),
+            (1, '{"category": "drug", "item_id": "7"}', "'admission_id'"),
+            (2, '{"admission_id": "a", "value": 30}', "'field'"),
+            (2, '7', "int, not an object"),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, slot, line, complaint):
+        paths = [tmp_path / f"{name}.jsonl" for name in ("ts", "ev", "sg")]
+        for p in paths:
+            p.write_text("")
+        paths[slot].write_text(line + "\n")
+        with pytest.raises(RecordError, match=f"{paths[slot].name}:1: .*{complaint}"):
+            load_record_sets(*paths)
+
+    def test_table_record_without_cells_rejected(self, tmp_path):
+        table, schema = build_feature_table(small_training_set())
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"admission_id": "x"}\n')
+        with pytest.raises(RecordError, match="table.jsonl:1: .*'cells'"):
+            load_feature_table(path, schema)

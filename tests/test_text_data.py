@@ -113,6 +113,24 @@ class TestDatasetFiles:
         save_labels(labels, path)
         assert load_labels(path) == labels
 
+    @pytest.mark.parametrize(
+        "loader, line, complaint",
+        [
+            (load_notes, '{"admission_id": "b"}', "'text'"),
+            (load_notes, '{"text": "y"}', "'admission_id'"),
+            (load_notes, '["b", "y"]', "list, not an object"),
+            (load_labels, '{"admission_id": "b"}', "'labels'"),
+            (load_labels, '["b", ["l1"]]', "list, not an object"),
+            (load_labels, '"b"', "str, not an object"),
+            (load_labels, '{"admission_id": "b", "labels": [}', "bad record"),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, loader, line, complaint):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"admission_id": "a", "text": "x", "labels": []}\n\n' + line + "\n")
+        with pytest.raises(DatasetError, match=f"records.jsonl:3: .*{complaint}"):
+            loader(path)
+
     def test_label_space_sorted_over_subset(self):
         labels = {"a": ["z", "m"], "b": ["a"], "c": ["q"]}
         assert label_space(labels, ["a", "b"]) == ["a", "m", "z"]

@@ -10,6 +10,7 @@ manifest file so later stages agree on membership exactly.
 from __future__ import annotations
 
 import json
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -18,12 +19,17 @@ class DatasetError(ValueError):
     pass
 
 
-def read_jsonl(path, error: type[ValueError], required: tuple[str, ...]):
+def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
     """Yield the JSON object on each nonblank line of ``path``.
 
-    A line that does not parse, is not an object, or lacks one of the
-    ``required`` keys raises ``error`` naming ``path:line``.
+    ``required`` maps each key a record must have to the type of its value
+    (``object`` takes any value, ``list[str]`` a list of strings). A line
+    that does not parse, is not an object, lacks a required key or holds a
+    value of the wrong type raises ``error`` naming ``path:line``.
     """
+    # (key, type, outer type, item types): list[str] -> list, (str,)
+    typed = [(key, kind, get_origin(kind) or kind, get_args(kind))
+             for key, kind in required.items() if kind is not object]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -38,17 +44,24 @@ def read_jsonl(path, error: type[ValueError], required: tuple[str, ...]):
             for key in required:
                 if key not in rec:
                     raise error(f"{path}:{lineno}: record has no {key!r}")
+            for key, kind, outer, items in typed:
+                value = rec[key]
+                if not isinstance(value, outer) or (
+                        items and not all(isinstance(v, items) for v in value)):
+                    name = str(kind) if items else kind.__name__
+                    raise error(f"{path}:{lineno}: {key!r} must be a {name}, "
+                                f"not {json.dumps(value)[:60]}")
             yield rec
 
 
 def load_notes(path) -> dict[str, str]:
     """admission_id -> document text, in file order."""
     notes: dict[str, str] = {}
-    for rec in read_jsonl(path, DatasetError, ("admission_id", "text")):
+    for rec in read_jsonl(path, DatasetError, {"admission_id": object, "text": str}):
         aid = str(rec["admission_id"])
         if aid in notes:
             raise DatasetError(f"duplicate admission_id in notes: {aid}")
-        notes[aid] = str(rec["text"])
+        notes[aid] = rec["text"]
     return notes
 
 
@@ -62,11 +75,12 @@ def save_notes(notes: dict[str, str], path) -> None:
 def load_labels(path) -> dict[str, list[str]]:
     """admission_id -> list of gold label names."""
     labels: dict[str, list[str]] = {}
-    for rec in read_jsonl(path, DatasetError, ("admission_id", "labels")):
+    for rec in read_jsonl(path, DatasetError,
+                          {"admission_id": object, "labels": list[str]}):
         aid = str(rec["admission_id"])
         if aid in labels:
             raise DatasetError(f"duplicate admission_id in labels: {aid}")
-        labels[aid] = [str(name) for name in rec["labels"]]
+        labels[aid] = rec["labels"]
     return labels
 
 

@@ -251,9 +251,11 @@ def forward(params: ModelParams, token_ids: np.ndarray,
 
 
 def document_loss(params: ModelParams, token_ids, assignment, target,
-                  mode: str) -> Tensor:
+                  mode: str) -> tuple[Tensor, Tensor]:
+    """(summed binary cross-entropy, per-label probabilities) of one document."""
     yhat = forward(params, token_ids, assignment, mode)
-    return ad.binary_cross_entropy(yhat, Tensor(np.asarray(target, dtype=np.float64)))
+    loss = ad.binary_cross_entropy(yhat, Tensor(np.asarray(target, dtype=np.float64)))
+    return loss, yhat
 
 
 def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndarray:
@@ -270,14 +272,13 @@ class TrainSettings:
     epochs: int
     seed: int
     fusion_mode: str = "attention"
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     clip_norm: float = 5.0
     metric_k: int = 5
-    # optional early stop once training micro-F1 reaches this level
-    train_f1_stop: float | None = None
 
 
+# One row per epoch. ``train_micro_f1`` scores the probabilities each
+# training document got in its own step, before that step's update.
 LOG_COLUMNS = (
     "epoch", "train_loss", "train_grad_norm", "val_macro_auc", "val_micro_auc",
     "val_macro_f1", "val_micro_f1", "val_precision_at_k", "train_micro_f1",
@@ -304,20 +305,24 @@ def train_model(
     val_docs, val_assignments, val_targets,
     settings: TrainSettings,
 ) -> TrainResult:
-    """Seeded per-document training with best-validation checkpointing.
+    """Seeded per-document Adam training with best-validation checkpointing.
 
-    After the final epoch the parameters are restored to the epoch with the
-    highest validation micro-F1 (earliest such epoch on ties).
+    Every training document runs forward once per epoch, in its own step:
+    the logged ``train_micro_f1`` scores those in-step probabilities, each
+    taken before its document's update. After the final epoch the
+    parameters are restored to the epoch with the highest validation
+    micro-F1 (earliest such epoch on ties).
     """
     if settings.fusion_mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {settings.fusion_mode!r}")
-    if settings.optimizer not in ("adam", "sgd"):
-        raise ValueError(f"unknown optimizer {settings.optimizer!r}")
     n = len(train_docs)
     if n == 0:
         raise ValueError("no training documents")
     train_targets = np.asarray(train_targets, dtype=np.float64)
     val_targets = np.asarray(val_targets, dtype=np.float64)
+    if not 1 <= settings.metric_k <= train_targets.shape[1]:
+        raise ValueError(f"metric_k={settings.metric_k} is outside "
+                         f"[1, {train_targets.shape[1]}] labels")
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
     tensors = params.all()
@@ -330,16 +335,18 @@ def train_model(
 
     for epoch in range(settings.epochs):
         order = shuffle_rng.permutation(n)
+        train_probs = np.empty_like(train_targets)
         loss_total = 0.0
         grad_norm_total = 0.0
         for i in order:
             assignment = None if train_assignments is None else train_assignments[i]
             ad.zero_grads(tensors)
             with Tape() as tape:
-                loss = document_loss(
+                loss, yhat = document_loss(
                     params, train_docs[i], assignment, train_targets[i],
                     settings.fusion_mode,
                 )
+            train_probs[i] = yhat.data
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise RuntimeError(
@@ -348,15 +355,9 @@ def train_model(
                 )
             backward(tape, loss)
             grad_norm_total += ad.clip_gradients(tensors, settings.clip_norm)
-            if settings.optimizer == "adam":
-                ad.adam_step(tensors, adam)
-            else:
-                ad.sgd_step(tensors, settings.learning_rate)
+            ad.adam_step(tensors, adam)
             loss_total += loss_value
 
-        train_probs = predict_matrix(
-            params, train_docs, train_assignments, settings.fusion_mode
-        )
         train_f1 = micro_f1(PredictionBatch(train_probs, train_targets))
         val_probs = predict_matrix(
             params, val_docs, val_assignments, settings.fusion_mode
@@ -381,9 +382,6 @@ def train_model(
             best_val = row["val_micro_f1"]
             best_epoch = epoch
             best_state = params.snapshot()
-
-        if settings.train_f1_stop is not None and train_f1 >= settings.train_f1_stop:
-            break
 
     params.restore(best_state)
     return TrainResult(log_rows=log_rows, best_epoch=best_epoch,

@@ -249,21 +249,22 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
             by_id[aid] = StructuredRecordSet(admission_id=aid)
         return by_id[aid]
 
-    for rec in read_jsonl(
-        timeseries_path, RecordError, ("admission_id", "class_id", "timestamp", "value")
-    ):
+    for rec in read_jsonl(timeseries_path, RecordError, dict.fromkeys(
+            ("admission_id", "class_id", "timestamp", "value"), object)):
         rs = get(rec["admission_id"])
         rs.time_series.setdefault(str(rec["class_id"]), []).append(
             (float(rec["timestamp"]), float(rec["value"]))
         )
-    for rec in read_jsonl(events_path, RecordError, ("admission_id", "category", "item_id")):
+    for rec in read_jsonl(events_path, RecordError, dict.fromkeys(
+            ("admission_id", "category", "item_id"), object)):
         category = str(rec["category"])
         if category not in MULTIVALUED_CATEGORIES:
             raise RecordError(
                 f"admission {rec['admission_id']}: unknown event category {category!r}"
             )
         get(rec["admission_id"]).multivalued.append((category, str(rec["item_id"])))
-    for rec in read_jsonl(singletons_path, RecordError, ("admission_id", "field", "value")):
+    for rec in read_jsonl(singletons_path, RecordError, dict.fromkeys(
+            ("admission_id", "field", "value"), object)):
         get(rec["admission_id"]).singletons[str(rec["field"])] = rec["value"]
     return list(by_id.values())
 
@@ -321,7 +322,7 @@ def save_feature_table(table: FeatureTable, path) -> None:
 def load_feature_table(path, schema: FeatureSchema) -> FeatureTable:
     ids = []
     rows = []
-    for rec in read_jsonl(path, RecordError, ("admission_id", "cells")):
+    for rec in read_jsonl(path, RecordError, dict.fromkeys(("admission_id", "cells"), object)):
         cells = rec["cells"]
         if len(cells) != schema.width():
             raise RecordError(

@@ -273,11 +273,12 @@ class TestEndToEndGradients:
             target = rng.integers(0, 2, size=TOY.n_labels).astype(float)
 
             with Tape() as tape:
-                loss = document_loss(params, ids, assignment, target, mode)
+                loss, _ = document_loss(params, ids, assignment, target, mode)
             backward(tape, loss)
 
             def f():
-                return float(document_loss(params, ids, assignment, target, mode).data)
+                loss, _ = document_loss(params, ids, assignment, target, mode)
+                return float(loss.data)
 
             for name, t in params.named():
                 fd = finite_difference_grad(f, t.data)
@@ -337,8 +338,7 @@ class TestTraining:
         params = toy_params(seed=8)
         before = params.snapshot()
         docs, assignments, targets = self.small_data(3)
-        settings = TrainSettings(epochs=3, seed=2, optimizer="sgd",
-                                 learning_rate=0.0, metric_k=2)
+        settings = TrainSettings(epochs=3, seed=2, learning_rate=0.0, metric_k=2)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         after = params.snapshot()
@@ -381,15 +381,48 @@ class TestTraining:
         best_row = result.log_rows[result.best_epoch]
         assert best_row["val_micro_f1"] == result.best_val_micro_f1
 
-    def test_early_stop_on_train_f1(self):
+    def test_one_forward_per_document(self, monkeypatch):
+        # each training document is scored in its own step; only the
+        # validation split gets a separate pass
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(tm, "forward", counted)
         params = toy_params(seed=14)
-        docs, assignments, targets = self.small_data(2)
-        settings = TrainSettings(epochs=500, seed=5, learning_rate=0.02,
-                                 metric_k=2, train_f1_stop=0.99)
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=1, seed=5, metric_k=2)
+        train_model(params, docs[:3], assignments[:3], targets[:3],
+                    docs[3:], assignments[3:], targets[3:], settings)
+        assert len(calls) == 4
+
+    def test_train_micro_f1_scores_in_step_probabilities(self):
+        # at lr 0 no step changes the parameters, so the in-step
+        # probabilities are exactly those of a scoring pass
+        params = toy_params(seed=17)
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=1, seed=8, learning_rate=0.0, metric_k=2)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
-        assert len(result.log_rows) < 500
-        assert result.log_rows[-1]["train_micro_f1"] >= 0.99
+        probs = predict_matrix(params, docs, assignments, "attention")
+        expected = micro_f1(PredictionBatch(probs, targets))
+        assert 0.0 < expected < 1.0
+        assert result.log_rows[0]["train_micro_f1"] == expected
+
+    @pytest.mark.parametrize("metric_k", [0, 4, 5])
+    def test_bad_metric_k_rejected_before_training(self, metric_k):
+        params = toy_params(seed=18)
+        before = params.snapshot()
+        docs, assignments, targets = self.small_data(3)
+        settings = TrainSettings(epochs=3, seed=2, metric_k=metric_k)
+        with pytest.raises(ValueError, match="metric_k"):
+            train_model(params, docs, assignments, targets,
+                        docs, assignments, targets, settings)
+        after = params.snapshot()
+        for name in before:
+            np.testing.assert_array_equal(before[name], after[name])
 
     def test_log_csv_shape(self):
         params = toy_params(seed=15)

@@ -1,5 +1,7 @@
 """Vocabulary and dataset-file checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -123,12 +125,18 @@ class TestDatasetFiles:
             (load_labels, '["b", ["l1"]]', "list, not an object"),
             (load_labels, '"b"', "str, not an object"),
             (load_labels, '{"admission_id": "b", "labels": [}', "bad record"),
+            (load_labels, '{"admission_id": "b", "labels": "abc"}',
+             "'labels' must be a list[str], not \"abc\""),
+            (load_labels, '{"admission_id": "b", "labels": [null, 3]}',
+             "'labels' must be a list[str], not [null, 3]"),
+            (load_notes, '{"admission_id": "b", "text": null}', "'text' must be a str, not null"),
+            (load_notes, '{"admission_id": "b", "text": ["y"]}', "'text' must be a str"),
         ],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, loader, line, complaint):
         path = tmp_path / "records.jsonl"
         path.write_text('{"admission_id": "a", "text": "x", "labels": []}\n\n' + line + "\n")
-        with pytest.raises(DatasetError, match=f"records.jsonl:3: .*{complaint}"):
+        with pytest.raises(DatasetError, match=f"records.jsonl:3: .*{re.escape(complaint)}"):
             loader(path)
 
     def test_label_space_sorted_over_subset(self):

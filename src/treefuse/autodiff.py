@@ -93,10 +93,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.accumulate_grad(g)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep seeding d(loss)/d(loss) = 1. Single use per tape."""
     if loss.data.size != 1:

@@ -10,6 +10,7 @@ manifest file so later stages agree on membership exactly.
 from __future__ import annotations
 
 import json
+import sys
 from typing import get_args, get_origin
 
 import numpy as np
@@ -19,16 +20,31 @@ class DatasetError(ValueError):
     pass
 
 
+_DECODER = json.JSONDecoder()
+
+
+class _FiniteNumberType(type):
+    def __instancecheck__(cls, value, _max=sys.float_info.max) -> bool:
+        # bool is not a number here, and NaN fails the comparisons
+        return value.__class__ in (float, int) and -_max <= value <= _max
+
+
+class FiniteNumber(metaclass=_FiniteNumberType):
+    """``read_jsonl`` type of a finite JSON number (not a bool, NaN or ±Infinity)."""
+
+
 def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
     """Yield the JSON object on each nonblank line of ``path``.
 
     ``required`` maps each key a record must have to the type of its value
-    (``object`` takes any value, ``list[str]`` a list of strings). A line
-    that does not parse, is not an object, lacks a required key or holds a
-    value of the wrong type raises ``error`` naming ``path:line``.
+    (``object`` takes any value, ``list[FiniteNumber | None]`` a list of
+    numbers and nulls). A line that does not parse, is not an object, lacks
+    a required key or holds a value of the wrong type raises ``error``
+    naming ``path:line``.
     """
     # (key, type, outer type, item types): list[str] -> list, (str,)
-    typed = [(key, kind, get_origin(kind) or kind, get_args(kind))
+    typed = [(key, kind, list, get_args(kind)) if get_origin(kind) is list
+             else (key, kind, kind, ())
              for key, kind in required.items() if kind is not object]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -36,7 +52,11 @@ def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                # json.loads without its wrapper, whose whitespace scans cost
+                # about as much as parsing a short record; the line is stripped
+                rec, end = _DECODER.raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise error(f"{path}:{lineno}: bad record: {exc}") from exc
             if not isinstance(rec, dict):
@@ -48,7 +68,8 @@ def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
                 value = rec[key]
                 if not isinstance(value, outer) or (
                         items and not all(isinstance(v, items) for v in value)):
-                    name = str(kind) if items else kind.__name__
+                    name = (kind.__name__ if isinstance(kind, type)
+                            else str(kind).replace(f"{__name__}.", ""))
                     raise error(f"{path}:{lineno}: {key!r} must be a {name}, "
                                 f"not {json.dumps(value)[:60]}")
             yield rec

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import read_jsonl
+from .dataset import FiniteNumber, read_jsonl
 
 SCHEMA_FORMAT_VERSION = 1
 
@@ -249,8 +249,9 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
             by_id[aid] = StructuredRecordSet(admission_id=aid)
         return by_id[aid]
 
-    for rec in read_jsonl(timeseries_path, RecordError, dict.fromkeys(
-            ("admission_id", "class_id", "timestamp", "value"), object)):
+    for rec in read_jsonl(timeseries_path, RecordError, {
+            "admission_id": object, "class_id": object,
+            "timestamp": FiniteNumber, "value": FiniteNumber}):
         rs = get(rec["admission_id"])
         rs.time_series.setdefault(str(rec["class_id"]), []).append(
             (float(rec["timestamp"]), float(rec["value"]))
@@ -263,8 +264,9 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
                 f"admission {rec['admission_id']}: unknown event category {category!r}"
             )
         get(rec["admission_id"]).multivalued.append((category, str(rec["item_id"])))
-    for rec in read_jsonl(singletons_path, RecordError, dict.fromkeys(
-            ("admission_id", "field", "value"), object)):
+    for rec in read_jsonl(singletons_path, RecordError, {
+            "admission_id": object, "field": object,
+            "value": FiniteNumber | str | bool | None}):
         get(rec["admission_id"]).singletons[str(rec["field"])] = rec["value"]
     return list(by_id.values())
 
@@ -322,7 +324,8 @@ def save_feature_table(table: FeatureTable, path) -> None:
 def load_feature_table(path, schema: FeatureSchema) -> FeatureTable:
     ids = []
     rows = []
-    for rec in read_jsonl(path, RecordError, dict.fromkeys(("admission_id", "cells"), object)):
+    for rec in read_jsonl(path, RecordError,
+                          {"admission_id": object, "cells": list[FiniteNumber | None]}):
         cells = rec["cells"]
         if len(cells) != schema.width():
             raise RecordError(
@@ -330,6 +333,7 @@ def load_feature_table(path, schema: FeatureSchema) -> FeatureTable:
                 f"does not match schema width {schema.width()}"
             )
         ids.append(str(rec["admission_id"]))
-        rows.append([np.nan if c is None else float(c) for c in cells])
-    values = np.asarray(rows) if rows else np.zeros((0, schema.width()))
+        rows.append(cells)
+    # null cells become NaN
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), schema.width())
     return FeatureTable(schema=schema, admission_ids=ids, values=values)

@@ -14,6 +14,7 @@ direction is stored on the node.
 from __future__ import annotations
 
 import json
+import math
 import hashlib
 from dataclasses import dataclass, field, asdict
 
@@ -36,6 +37,12 @@ class TreeTrainConfig:
     # Labels with fewer positive rows than this get a trivial single-leaf
     # tree so every label still contributes exactly one tree.
     min_positives: int = 10
+
+    def __post_init__(self):
+        for name, low in (("max_depth", 0), ("min_child_rows", 1), ("min_positives", 0),
+                          ("learning_rate", 0.0), ("l2_lambda", 0.0)):
+            if not low <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -81,66 +88,60 @@ def _best_split(
     rows: np.ndarray,
     config: TreeTrainConfig,
 ):
-    """Exact greedy search over (column, midpoint threshold, default side).
+    """Exact greedy search over (column, midpoint threshold, default side),
+    scoring every candidate of every column in one array.
 
     Returns (gain, column, threshold, default_left) for the best candidate
     with gain > 0, or None. Ties keep the first candidate in scan order:
     lowest column, then smallest threshold, then default left.
     """
     lam = config.l2_lambda
-    g_sub = g[rows]
-    h_sub = h[rows]
-    g_total = g_sub.sum()
-    h_total = h_sub.sum()
+    g_total = g[rows].sum()
+    h_total = h[rows].sum()
     parent = g_total * g_total / (h_total + lam)
     n_rows = len(rows)
 
-    best = None
-    for col in range(features.shape[1]):
-        v = features[rows, col]
-        present = ~np.isnan(v)
-        n_present = int(present.sum())
-        if n_present < 2:
-            continue
-        order = np.argsort(v[present], kind="stable")
-        pv = v[present][order]
-        cg = np.cumsum(g_sub[present][order])
-        ch = np.cumsum(h_sub[present][order])
-        g_missing = g_total - cg[-1]
-        h_missing = h_total - ch[-1]
-        n_missing = n_rows - n_present
+    # Each column's rows in value order, NaN last; cg[c, k] sums g over the
+    # first k. Candidate (c, i) cuts column c between sorted rows i and i + 1.
+    x = features[rows].T
+    cols = np.arange(len(x))[:, None]
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = x[cols, order]
+    cg = np.zeros((len(x), n_rows + 1))
+    ch = np.zeros((len(x), n_rows + 1))
+    np.cumsum(g[rows[order]], axis=1, out=cg[:, 1:])
+    np.cumsum(h[rows[order]], axis=1, out=ch[:, 1:])
+    n_present = n_rows - np.isnan(x).sum(axis=1, keepdims=True)
+    g_missing = g_total - cg[cols, n_present]
+    h_missing = h_total - ch[cols, n_present]
+    with np.errstate(over="ignore"):
+        thr = (xs[:, :-1] + xs[:, 1:]) / 2.0
+    is_cut = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, n_rows) < n_present)
+    if not is_cut.any():
+        return None
+    # Count left rows by the literal comparison used at inference time; for
+    # adjacent floats the midpoint can round onto an endpoint.
+    k = np.array([v.searchsorted(t) for v, t in zip(xs, thr)])
 
-        for i in np.nonzero(pv[:-1] != pv[1:])[0]:
-            thr = (pv[i] + pv[i + 1]) / 2.0
-            # Route by the literal comparison used at inference time; for
-            # adjacent floats the midpoint can round onto an endpoint.
-            k = int(np.searchsorted(pv, thr, side="left"))
-            if k == 0 or k == n_present:
-                continue
-            for default_left in (True, False):
-                if default_left:
-                    g_left = cg[k - 1] + g_missing
-                    h_left = ch[k - 1] + h_missing
-                    n_left = k + n_missing
-                else:
-                    g_left = cg[k - 1]
-                    h_left = ch[k - 1]
-                    n_left = k
-                n_right = n_rows - n_left
-                if n_left < config.min_child_rows or n_right < config.min_child_rows:
-                    continue
-                g_right = g_total - g_left
-                h_right = h_total - h_left
-                gain = 0.5 * (
-                    g_left * g_left / (h_left + lam)
-                    + g_right * g_right / (h_right + lam)
-                    - parent
-                )
-                if gain <= 0.0:
-                    continue
-                if best is None or gain > best[0]:
-                    best = (gain, col, thr, default_left)
-    return best
+    gk = cg[cols, k]
+    hk = ch[cols, k]
+    # Last axis: default left (missing rows join the left child), then right.
+    g_left = np.stack([gk + g_missing, gk], axis=-1)
+    h_left = np.stack([hk + h_missing, hk], axis=-1)
+    n_left = np.stack([k + (n_rows - n_present), k], axis=-1)
+    g_right = g_total - g_left
+    h_right = h_total - h_left
+    # With l2_lambda = 0 an empty child divides 0 by 0; such candidates are masked below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 0.5 * (g_left * g_left / (h_left + lam) + g_right * g_right / (h_right + lam)
+                      - parent)
+    mcr = config.min_child_rows
+    gain[~is_cut[..., None] | (n_left < mcr) | (n_rows - n_left < mcr)] = 0.0
+    best = np.unravel_index(np.argmax(gain), gain.shape)
+    if gain[best] <= 0.0:
+        return None
+    col, i, side = best
+    return gain[best], int(col), thr[col, i], bool(side == 0)
 
 
 def train_tree(
@@ -151,7 +152,7 @@ def train_tree(
 ) -> DecisionTree:
     """Train one second-order regression tree against a binary target.
 
-    features: rows x columns float64 with NaN for missing. A label with
+    features: rows x columns float64, finite or NaN for missing. A label with
     fewer than config.min_positives positive rows yields a single-leaf tree
     whose weight is fitted on all rows.
     """
@@ -162,6 +163,9 @@ def train_tree(
         raise ValueError(f"feature matrix must be 2-D, got shape {features.shape}")
     if features.shape[0] == 0:
         raise ValueError("cannot train a tree on an empty feature table")
+    if np.isinf(features).any():
+        # a -inf/+inf pair would have a NaN midpoint threshold
+        raise ValueError("feature matrix has an infinite cell; only NaN marks missing")
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (features.shape[0],):
         raise ValueError(
@@ -256,40 +260,34 @@ def total_leaves(ensemble: TreeEnsemble) -> int:
     return sum(t.leaf_count for t in ensemble.trees)
 
 
-def predict_margin(tree: DecisionTree, row: np.ndarray) -> float:
-    """Additive score of the activated leaf (base score is 0)."""
-    return float(route_row(tree, np.asarray(row, dtype=np.float64)).weight)
-
-
-def predict_probability(tree: DecisionTree, row: np.ndarray) -> float:
-    """Probability for the tree alone, starting from a half-probability base."""
-    m = predict_margin(tree, row)
-    return float(1.0 / (1.0 + np.exp(-m)))
+# The fields each node kind is saved with, and the type each is read back as.
+_NODE_FIELDS = {
+    "leaf": {"leaf_id": int, "weight": float},
+    "split": {"column": int, "threshold": float, "default_left": bool, "left": int, "right": int},
+}
 
 
 def _node_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"kind": "leaf", "leaf_id": node.leaf_id, "weight": node.weight}
-    return {
-        "kind": "split",
-        "column": node.column,
-        "threshold": node.threshold,
-        "default_left": node.default_left,
-        "left": node.left,
-        "right": node.right,
-    }
+    kind = "leaf" if node.is_leaf else "split"
+    return {"kind": kind, **{name: getattr(node, name) for name in _NODE_FIELDS[kind]}}
 
 
-def _node_from_dict(d: dict) -> TreeNode:
-    if d["kind"] == "leaf":
-        return TreeNode(leaf_id=int(d["leaf_id"]), weight=float(d["weight"]))
-    return TreeNode(
-        column=int(d["column"]),
-        threshold=float(d["threshold"]),
-        default_left=bool(d["default_left"]),
-        left=int(d["left"]),
-        right=int(d["right"]),
-    )
+def _node_from_dict(d: dict, where: str, n_features: int, leaves: range,
+                    children: range) -> TreeNode:
+    """One node; ``children`` holds the indices after this node's own."""
+    try:
+        if d["kind"] not in _NODE_FIELDS:
+            raise ValueError(f"{where}: unknown node kind {d['kind']!r}")
+        node = TreeNode(**{name: read(d[name]) for name, read in _NODE_FIELDS[d["kind"]].items()})
+    except KeyError as exc:
+        raise ValueError(f"{where}: node has no {exc}") from exc
+    bounds = [("leaf id", node.leaf_id, leaves)] if d["kind"] == "leaf" else [
+        ("column", node.column, range(n_features)),
+        ("child index", node.left, children), ("child index", node.right, children)]
+    for what, value, allowed in bounds:
+        if value not in allowed:
+            raise ValueError(f"{where}: {what} {value} is outside {allowed}")
+    return node
 
 
 def ensemble_to_dict(ensemble: TreeEnsemble) -> dict:
@@ -314,16 +312,20 @@ def ensemble_from_dict(payload: dict) -> TreeEnsemble:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported ensemble format version: {version!r}")
     config = TreeTrainConfig(**payload["config"])
-    trees = [
-        DecisionTree(
-            label_index=int(td["label_index"]),
-            n_features=int(td["n_features"]),
-            nodes=[_node_from_dict(nd) for nd in td["nodes"]],
-            leaf_count=int(td["leaf_count"]),
-        )
-        for td in payload["trees"]
-    ]
-    return TreeEnsemble(trees=trees, config=config, n_features=int(payload["n_features"]))
+    n_features = int(payload["n_features"])
+    trees = []
+    for t, td in enumerate(payload["trees"]):
+        tree = DecisionTree(label_index=int(td["label_index"]), n_features=int(td["n_features"]),
+                            leaf_count=int(td["leaf_count"]))
+        tree.nodes = [_node_from_dict(nd, f"tree {t}, node {i}", n_features,
+                                      range(tree.leaf_count), range(i + 1, len(td["nodes"])))
+                      for i, nd in enumerate(td["nodes"])]
+        leaf_ids = sorted(node.leaf_id for node in tree.nodes if node.is_leaf)
+        if not leaf_ids or leaf_ids != list(range(tree.leaf_count)):
+            raise ValueError(
+                f"tree {t}: leaf ids {leaf_ids} are not exactly 0..{tree.leaf_count - 1}")
+        trees.append(tree)
+    return TreeEnsemble(trees=trees, config=config, n_features=n_features)
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:

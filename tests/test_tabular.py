@@ -1,6 +1,8 @@
 """Featurization checks: worked examples, schema freezing, determinism, and
 property tests for the aggregation rules."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -346,6 +348,66 @@ class TestDiskFormats:
         paths[slot].write_text(line + "\n")
         with pytest.raises(RecordError, match=f"{paths[slot].name}:1: .*{complaint}"):
             load_record_sets(*paths)
+
+    @pytest.mark.parametrize(
+        "slot, line, complaint",
+        [
+            (0, '{"admission_id": "a", "class_id": "hr", "timestamp": "x", "value": 1.0}',
+             "'timestamp' must be a FiniteNumber, not \"x\""),
+            (0, '{"admission_id": "a", "class_id": "hr", "timestamp": 0, "value": true}',
+             "'value' must be a FiniteNumber, not true"),
+            (0, '{"admission_id": "a", "class_id": "hr", "timestamp": 0, "value": null}',
+             "'value' must be a FiniteNumber, not null"),
+            (0, '{"admission_id": "a", "class_id": "hr", "timestamp": 0, "value": NaN}',
+             "'value' must be a FiniteNumber, not NaN"),
+            (0, '{"admission_id": "a", "class_id": "hr", "timestamp": Infinity, "value": 1}',
+             "'timestamp' must be a FiniteNumber, not Infinity"),
+            (0, '{"admission_id": "a", "class_id": "hr", "timestamp": 0, "value": -1e999}',
+             "'value' must be a FiniteNumber, not -Infinity"),
+            (2, '{"admission_id": "a", "field": "age", "value": NaN}',
+             "'value' must be a FiniteNumber | str | bool | None, not NaN"),
+            (2, '{"admission_id": "a", "field": "age", "value": -Infinity}',
+             "'value' must be a FiniteNumber | str | bool | None, not -Infinity"),
+            (2, '{"admission_id": "a", "field": "age", "value": [30]}',
+             "'value' must be a FiniteNumber | str | bool | None, not [30]"),
+        ],
+    )
+    def test_wrong_typed_value_names_file_line_and_key(self, tmp_path, slot, line, complaint):
+        paths = [tmp_path / f"{name}.jsonl" for name in ("ts", "ev", "sg")]
+        for p in paths:
+            p.write_text("")
+        paths[slot].write_text(line + "\n")
+        with pytest.raises(RecordError, match=re.escape(f"{paths[slot].name}:1: {complaint}")):
+            load_record_sets(*paths)
+
+    def test_typed_values_accepted(self, tmp_path):
+        paths = [tmp_path / f"{name}.jsonl" for name in ("ts", "ev", "sg")]
+        paths[0].write_text(
+            '{"admission_id": "a", "class_id": "hr", "timestamp": 0, "value": -1.5e308}\n')
+        paths[1].write_text("")
+        paths[2].write_text(
+            '{"admission_id": "a", "field": "age", "value": 30}\n'
+            '{"admission_id": "a", "field": "flag", "value": false}\n'
+            '{"admission_id": "a", "field": "kind", "value": "ELECTIVE"}\n'
+            '{"admission_id": "a", "field": "note", "value": null}\n')
+        (rec,) = load_record_sets(*paths)
+        assert rec.time_series == {"hr": [(0.0, -1.5e308)]}
+        assert rec.singletons == {"age": 30, "flag": False, "kind": "ELECTIVE", "note": None}
+
+    @pytest.mark.parametrize(
+        "cells, shown",
+        [('"abc"', '"abc"'), ("5", "5"), ('[1.0, "x"]', '[1.0, "x"]'),
+         ("[NaN, 1.0]", "[NaN, 1.0]"), ("[true, 1.0]", "[true, 1.0]"),
+         ("[1e999, 1.0]", "[Infinity, 1.0]")],
+        ids=["string", "number", "string-cell", "nan-cell", "bool-cell", "inf-cell"],
+    )
+    def test_table_bad_cells_rejected(self, tmp_path, cells, shown):
+        table, schema = build_feature_table(small_training_set())
+        path = tmp_path / "table.jsonl"
+        path.write_text(f'{{"admission_id": "x", "cells": {cells}}}\n')
+        complaint = f"table.jsonl:1: 'cells' must be a list[FiniteNumber | None], not {shown}"
+        with pytest.raises(RecordError, match=re.escape(complaint)):
+            load_feature_table(path, schema)
 
     def test_table_record_without_cells_rejected(self, tmp_path):
         table, schema = build_feature_table(small_training_set())

@@ -1,6 +1,9 @@
 """Tree training checks: worked examples, structural invariants, and an
 exhaustive split-enumeration oracle on small random tables."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,11 @@ from treefuse import trees as tr
 from treefuse.trees import (
     DecisionTree,
     TreeEnsemble,
-    TreeNode,
     TreeTrainConfig,
     assign_leaves,
     ensemble_sha256,
     ensemble_to_dict,
     load_ensemble,
-    predict_margin,
-    predict_probability,
     save_ensemble,
     total_leaves,
     train_ensemble,
@@ -62,7 +62,7 @@ class TestWorkedExamples:
         tree = two_row_tree()
         assert tr.route_row(tree, np.array([0.0])).leaf_id == 0
         assert tr.route_row(tree, np.array([1.0])).leaf_id == 1
-        assert predict_margin(tree, np.array([1.0])) == pytest.approx(0.396, abs=1e-12)
+        assert tr.route_row(tree, np.array([1.0])).weight == pytest.approx(0.396, abs=1e-12)
 
     def test_min_positives_forces_single_leaf(self):
         n = 40
@@ -76,13 +76,6 @@ class TestWorkedExamples:
         tree2 = train_tree(x, y, TreeTrainConfig(min_positives=8))
         assert tree2.leaf_count > 1
 
-    def test_zero_weight_leaf_gives_half_probability(self):
-        tree = DecisionTree(
-            label_index=0, n_features=1,
-            nodes=[TreeNode(leaf_id=0, weight=0.0)], leaf_count=1,
-        )
-        assert predict_probability(tree, np.array([3.0])) == 0.5
-
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             train_tree(np.zeros((0, 3)), np.zeros(0))
@@ -90,6 +83,22 @@ class TestWorkedExamples:
     def test_target_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train_tree(np.zeros((4, 2)), np.zeros(5))
+
+    def test_zero_column_table_single_leaf(self):
+        tree = train_tree(np.zeros((6, 0)), np.array([0.0, 1.0] * 3),
+                          TreeTrainConfig(min_positives=0))
+        assert tree.leaf_count == 1 and len(tree.nodes) == 1
+
+    def test_one_row_table_single_leaf(self):
+        tree = train_tree(np.array([[1.0, np.nan]]), np.array([1.0]),
+                          TreeTrainConfig(min_positives=0))
+        assert tree.leaf_count == 1 and len(tree.nodes) == 1
+
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf])
+    def test_infinite_cell_rejected(self, cell):
+        x = np.array([[0.0, 1.0], [2.0, cell], [np.nan, 3.0]])
+        with pytest.raises(ValueError, match="infinite"):
+            train_tree(x, np.array([0.0, 1.0, 1.0]), TreeTrainConfig(min_positives=0))
 
     def test_min_child_rows_blocks_small_children(self):
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
@@ -113,7 +122,88 @@ def random_table(rng):
     return x, y
 
 
+def check_against_oracle(x, y, min_child_rows=1, rows=None):
+    """_best_split at the node holding ``rows`` equals the oracle on x[rows]:
+    same column, threshold and default side, and a bitwise-equal gain."""
+    rows = np.arange(len(y)) if rows is None else rows
+    g = tr.BASE_PROB - y
+    h = np.full(len(y), tr.BASE_PROB * (1.0 - tr.BASE_PROB))
+    cfg = TreeTrainConfig(min_child_rows=min_child_rows)
+    found = tr._best_split(x, g, h, rows, cfg)
+    with np.errstate(over="ignore"):
+        expected = enumerate_best_split(x[rows], y[rows], lam=1.0,
+                                        min_child_rows=min_child_rows)
+    assert (found is None) == (expected is None), (found, expected)
+    if found is not None:
+        assert found[0] == expected[0], "gain values differ bitwise"
+        assert found[1:] == expected[1:]
+    return found
+
+
 class TestSplitOracle:
+    def test_adjacent_floats_with_missing_rows(self):
+        # The midpoint of 1 and the next float rounds onto 1, so no present
+        # row goes left; the best split sends the missing rows left alone.
+        a = 1.0
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == a
+        x = np.array([[a], [b], [a], [np.nan], [np.nan]])
+        y = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        found = check_against_oracle(x, y)
+        assert found is not None and found[2] == a and found[3]
+
+    def test_adjacent_floats_fuzzed(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 10))
+            base = rng.normal()
+            grid = [base, np.nextafter(base, np.inf),
+                    np.nextafter(np.nextafter(base, np.inf), np.inf)]
+            x = rng.choice(grid, size=(n, 2))
+            x[rng.uniform(size=x.shape) < 0.3] = np.nan
+            y = rng.integers(0, 2, size=n).astype(np.float64)
+            checked += check_against_oracle(x, y) is not None
+        assert checked > 50
+
+    def test_huge_values_midpoint_overflows(self):
+        # Both midpoints overflow: +inf sends every present row left, -inf
+        # sends every present row right.
+        for sign in (1.0, -1.0):
+            x = sign * np.array([[1.7e308], [1.6e308], [np.nan], [np.nan]])
+            y = np.array([1.0, 1.0, 0.0, 0.0])
+            found = check_against_oracle(x, y)
+            assert found is not None and found[2] == sign * np.inf
+        rng = np.random.default_rng(37)
+        checked = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 10))
+            x = rng.choice([1.7e308, 1.6e308, 0.0, -1.6e308, -1.7e308], size=(n, 2))
+            x[rng.uniform(size=x.shape) < 0.3] = np.nan
+            y = rng.integers(0, 2, size=n).astype(np.float64)
+            checked += check_against_oracle(x, y) is not None
+        assert checked > 50
+
+    @pytest.mark.parametrize("min_child_rows", [2, 3])
+    def test_min_child_rows_matches_enumeration(self, min_child_rows):
+        rng = np.random.default_rng(41 + min_child_rows)
+        checked = 0
+        for _ in range(100):
+            x, y = random_table(rng)
+            checked += check_against_oracle(x, y, min_child_rows) is not None
+        assert checked > 20
+
+    def test_non_root_node_matches_enumeration(self):
+        rng = np.random.default_rng(43)
+        checked = 0
+        for _ in range(100):
+            x, y = random_table(rng)
+            n = len(y)
+            size = int(rng.integers(1, n))
+            rows = np.sort(rng.choice(n, size=size, replace=False))
+            checked += check_against_oracle(x, y, rows=rows) is not None
+        assert checked > 20
+
     def test_root_split_matches_enumeration(self):
         rng = np.random.default_rng(7)
         cfg = TreeTrainConfig(max_depth=1, min_positives=0)
@@ -193,7 +283,8 @@ class TestStructure:
         x = np.linspace(-2.0, 2.0, 30).reshape(-1, 1)
         y = (x[:, 0] > 0).astype(np.float64)
         tree = train_tree(x, y, TreeTrainConfig(max_depth=1, min_positives=1))
-        preds = np.array([predict_probability(tree, r) >= 0.5 for r in x])
+        # probability >= 0.5 from a half-probability base means weight >= 0
+        preds = np.array([tr.route_row(tree, r).weight >= 0.0 for r in x])
         assert np.array_equal(preds, y.astype(bool))
 
 
@@ -273,6 +364,96 @@ class TestLeafPlumbing:
             config=TreeTrainConfig(), n_features=1,
         )
         assert total_leaves(ens) == 6
+
+
+BAD_CONFIG_FIELDS = [
+    ("max_depth", -1),
+    ("min_child_rows", 0),
+    ("min_positives", -1),
+    ("learning_rate", -0.5),
+    ("learning_rate", np.inf),
+    ("learning_rate", np.nan),
+    ("l2_lambda", -1.0),
+    ("l2_lambda", np.inf),
+    ("l2_lambda", np.nan),
+]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name, value", BAD_CONFIG_FIELDS)
+    def test_bad_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TreeTrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", BAD_CONFIG_FIELDS)
+    def test_bad_field_in_file_rejected(self, tmp_path, name, value):
+        payload = ensemble_to_dict(TreeEnsemble([two_row_tree()], TreeTrainConfig(), 1))
+        payload["config"][name] = value
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=name):
+            load_ensemble(path)
+
+    def test_bounds_accepted(self):
+        TreeTrainConfig(max_depth=0, min_child_rows=1, min_positives=0,
+                        learning_rate=0.0, l2_lambda=0.0)
+
+
+def corrupt(edit):
+    """Payload of a one-tree ensemble (split, leaf 0, leaf 1) after ``edit``."""
+    payload = ensemble_to_dict(TreeEnsemble([two_row_tree()], TreeTrainConfig(), 1))
+    edit(payload["trees"][0])
+    return payload
+
+
+def set_node(i, key, value):
+    def edit(tree):
+        tree["nodes"][i][key] = value
+    return edit
+
+
+def drop_key(i, key):
+    def edit(tree):
+        del tree["nodes"][i][key]
+    return edit
+
+
+class TestBadEnsembleFile:
+    @pytest.mark.parametrize("edit, complaint", [
+        (set_node(0, "left", 0), "tree 0, node 0: child index 0"),
+        (set_node(0, "right", 3), "tree 0, node 0: child index 3"),
+        (set_node(0, "left", -1), "tree 0, node 0: child index -1"),
+        (set_node(0, "column", 1), "tree 0, node 0: column 1"),
+        (set_node(0, "column", -1), "tree 0, node 0: column -1"),
+        (set_node(0, "kind", "stump"), "tree 0, node 0: unknown node kind 'stump'"),
+        (drop_key(0, "threshold"), "tree 0, node 0: node has no 'threshold'"),
+        (drop_key(2, "weight"), "tree 0, node 2: node has no 'weight'"),
+        (set_node(2, "leaf_id", 2), "tree 0, node 2: leaf id 2"),
+        (set_node(2, "leaf_id", -1), "tree 0, node 2: leaf id -1"),
+        (set_node(2, "leaf_id", 0), "tree 0: leaf ids [0, 0]"),
+    ], ids=["self-child", "child-past-end", "negative-child", "column-past-end",
+            "negative-column", "unknown-kind", "no-threshold", "no-weight",
+            "leaf-id-past-count", "negative-leaf-id", "duplicate-leaf-id"])
+    def test_rejected_naming_tree_and_node(self, edit, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            tr.ensemble_from_dict(corrupt(edit))
+
+    def test_leaf_count_mismatch_rejected(self):
+        def edit(tree):
+            tree["leaf_count"] = 3
+        with pytest.raises(ValueError, match=re.escape("tree 0: leaf ids [0, 1]")):
+            tr.ensemble_from_dict(corrupt(edit))
+
+    def test_empty_tree_rejected(self):
+        def edit(tree):
+            tree["nodes"] = []
+            tree["leaf_count"] = 0
+        with pytest.raises(ValueError, match="tree 0"):
+            tr.ensemble_from_dict(corrupt(edit))
+
+    def test_intact_payload_loads(self):
+        ens = tr.ensemble_from_dict(corrupt(lambda tree: None))
+        np.testing.assert_array_equal(assign_leaves(ens, np.array([1.0])), [1])
 
 
 class TestSerialization:

@@ -37,10 +37,9 @@ def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
     """Yield the JSON object on each nonblank line of ``path``.
 
     ``required`` maps each key a record must have to the type of its value
-    (``object`` takes any value, ``list[FiniteNumber | None]`` a list of
-    numbers and nulls). A line that does not parse, is not an object, lacks
-    a required key or holds a value of the wrong type raises ``error``
-    naming ``path:line``.
+    (``object`` takes any value, ``list[str]`` a list of strings). A line
+    that does not parse, is not an object, lacks a required key or holds a
+    value of the wrong type raises ``error`` naming ``path:line``.
     """
     # (key, type, outer type, item types): list[str] -> list, (str,)
     typed = [(key, kind, list, get_args(kind)) if get_origin(kind) is list
@@ -73,6 +72,13 @@ def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
                     raise error(f"{path}:{lineno}: {key!r} must be a {name}, "
                                 f"not {json.dumps(value)[:60]}")
             yield rec
+
+
+def require_keys(payload: dict, keys, where: str) -> None:
+    """Raise ValueError naming ``where`` and the first of ``keys`` not in ``payload``."""
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{where} has no {key!r}")
 
 
 def load_notes(path) -> dict[str, str]:

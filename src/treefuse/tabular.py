@@ -4,8 +4,8 @@ Three record categories feed the table: time series are collapsed to
 (mean, max, min) per observed class, multivalued event records become
 binary presence indicators per (category, item), and per-admission
 singleton fields are copied verbatim (numeric) or one-hot encoded
-(categorical). MISSING cells are np.nan in memory and null on disk;
-binary indicator cells are never missing, absence means 0.
+(categorical). MISSING cells are np.nan; binary indicator and one-hot
+cells are never missing, absence means 0.
 
 The schema is built once from the training split and frozen: featurizing
 any later split ignores classes, items, and categorical values the
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FiniteNumber, read_jsonl
+from .dataset import FiniteNumber, read_jsonl, require_keys
 
 SCHEMA_FORMAT_VERSION = 1
 
@@ -29,6 +29,7 @@ MULTIVALUED_CATEGORIES = frozenset(
 )
 
 TS_KINDS = ("ts_mean", "ts_max", "ts_min")
+COLUMN_KINDS = TS_KINDS + ("binary_indicator", "singleton_numeric", "singleton_onehot")
 
 
 class RecordError(ValueError):
@@ -45,8 +46,8 @@ class StructuredRecordSet:
     time_series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     # (category, item_id) pairs; repeats carry no extra information
     multivalued: list[tuple[str, str]] = field(default_factory=list)
-    # field name -> numeric or categorical value; duplicate fields keep the
-    # last one seen
+    # field name -> numeric or categorical value, None for absent; duplicate
+    # fields keep the last one seen
     singletons: dict[str, object] = field(default_factory=dict)
 
 
@@ -82,90 +83,14 @@ def _is_numeric(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def aggregate_time_series(series) -> tuple[float, float, float]:
-    """Collapse one admission's series for one class to (mean, max, min).
-
-    Empty series yields (nan, nan, nan); a non-finite value is rejected.
-    """
-    vals = np.asarray(list(series), dtype=np.float64)
-    if vals.size == 0:
-        return (np.nan, np.nan, np.nan)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite value in time series")
-    lo, hi = float(np.min(vals)), float(np.max(vals))
-    # np.mean can round just outside the range, e.g. one ulp below x for [x, x, x]
-    return (min(max(float(np.mean(vals)), lo), hi), hi, lo)
-
-
-def binarize_multivalued(records, schema: FeatureSchema) -> np.ndarray:
-    """Presence indicators for the schema's (category, item) columns.
-
-    Returns one cell per binary_indicator column in schema order; pairs the
-    schema never saw are ignored.
-    """
-    binary_cols = [c for c in schema.columns if c.kind == "binary_indicator"]
-    positions = {c.source_id: i for i, c in enumerate(binary_cols)}
-    cells = np.zeros(len(binary_cols))
-    for category, item_id in records:
-        pos = positions.get(f"{category}:{item_id}")
-        if pos is not None:
-            cells[pos] = 1.0
-    return cells
-
-
-def encode_singletons(singletons: dict, schema: FeatureSchema) -> np.ndarray:
-    """Cells for the schema's singleton columns, in schema order.
-
-    Numeric fields copy their value (absent -> nan). Categorical fields
-    one-hot against the training-time value map; absent or unseen values
-    leave the whole block at 0.
-    """
-    cols = [c for c in schema.columns if c.kind in ("singleton_numeric", "singleton_onehot")]
-    cells = np.empty(len(cols))
-    for i, col in enumerate(cols):
-        if col.kind == "singleton_numeric":
-            value = singletons.get(col.source_id)
-            cells[i] = float(value) if value is not None else np.nan
-        else:
-            fld, _, expected = col.source_id.partition("=")
-            value = singletons.get(fld)
-            cells[i] = 1.0 if value is not None and str(value) == expected else 0.0
-    return cells
-
-
-def _featurize_row(rs: StructuredRecordSet, schema: FeatureSchema) -> np.ndarray:
-    row = np.full(schema.width(), np.nan)
-    index = schema.column_index()
-
-    for class_id, points in rs.time_series.items():
-        try:
-            mean, mx, mn = aggregate_time_series(v for _, v in points)
-        except ValueError as exc:
-            raise RecordError(
-                f"admission {rs.admission_id}: {exc} (class {class_id})"
-            ) from exc
-        for kind, value in zip(TS_KINDS, (mean, mx, mn)):
-            pos = index.get(f"{kind}:{class_id}")
-            if pos is not None:
-                row[pos] = value
-
-    binary_cols = [i for i, c in enumerate(schema.columns) if c.kind == "binary_indicator"]
-    row[binary_cols] = binarize_multivalued(rs.multivalued, schema)
-
-    single_cols = [
-        i for i, c in enumerate(schema.columns)
-        if c.kind in ("singleton_numeric", "singleton_onehot")
-    ]
-    row[single_cols] = encode_singletons(rs.singletons, schema)
-    return row
-
-
 def build_schema(record_sets) -> FeatureSchema:
     """Derive the frozen column set from training records.
 
     Columns are ordered lexicographically by (kind, source_id) so the same
     records always produce the same schema. A singleton field must be
-    numeric for every admission or categorical for every admission.
+    numeric for every admission or categorical for every admission (None
+    values are absent and count as neither), and a categorical field's name
+    must not contain "=", which separates it from the value in the column.
     """
     ts_classes: set[str] = set()
     pairs: set[str] = set()
@@ -177,6 +102,8 @@ def build_schema(record_sets) -> FeatureSchema:
         for category, item_id in rs.multivalued:
             pairs.add(f"{category}:{item_id}")
         for fld, value in rs.singletons.items():
+            if value is None:
+                continue
             if _is_numeric(value):
                 numeric_fields.add(fld)
             else:
@@ -187,6 +114,9 @@ def build_schema(record_sets) -> FeatureSchema:
         raise RecordError(
             f"singleton fields mix numeric and categorical values: {sorted(mixed)}"
         )
+    joined = [fld for fld in categorical_values if "=" in fld]
+    if joined:
+        raise RecordError(f"categorical singleton field names contain '=': {sorted(joined)}")
 
     columns = []
     for class_id in ts_classes:
@@ -208,7 +138,14 @@ def build_schema(record_sets) -> FeatureSchema:
 
 
 def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
-    """Featurize admissions against a frozen schema."""
+    """Featurize admissions against a frozen schema.
+
+    One pass over the records gathers every cell. Time series are then
+    reduced per length: each row of a (series, length) matrix is summed in
+    the same order as np.mean on that series alone, so every mean is bitwise
+    the per-series one. A non-finite series value, or a non-numeric value in
+    a numeric singleton field, raises RecordError naming the admission.
+    """
     record_sets = list(record_sets)
     ids = [rs.admission_id for rs in record_sets]
     seen = set()
@@ -216,10 +153,70 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
         if aid in seen:
             raise RecordError(f"duplicate admission_id: {aid}")
         seen.add(aid)
-    if record_sets:
-        values = np.stack([_featurize_row(rs, schema) for rs in record_sets])
-    else:
-        values = np.zeros((0, schema.width()))
+
+    by_kind: dict[str, dict[str, int]] = {kind: {} for kind in COLUMN_KINDS}
+    for i, c in enumerate(schema.columns):
+        by_kind[c.kind][c.source_id] = i
+    ts_cols = {cid: tuple(by_kind[k][cid] for k in TS_KINDS) for cid in by_kind["ts_mean"]}
+    pair_cols, numeric_cols = by_kind["binary_indicator"], by_kind["singleton_numeric"]
+    onehot_cols = {fld: {v: by_kind["singleton_onehot"][f"{fld}={v}"] for v in m}
+                   for fld, m in schema.categorical_maps.items()}
+
+    hit_rows, hit_cols = [], []
+    num_rows, num_cols, num_vals = [], [], []
+    flat = []  # every series value, in record order
+    # length -> (offset into flat, row, column triple) of each known series
+    groups: dict[int, list[tuple]] = {}
+    for r, rs in enumerate(record_sets):
+        for class_id, points in rs.time_series.items():
+            cols = ts_cols.get(class_id)
+            if cols is not None and points:
+                groups.setdefault(len(points), []).append((len(flat), r, cols))
+            flat.extend(v for _, v in points)
+        for category, item_id in rs.multivalued:
+            col = pair_cols.get(f"{category}:{item_id}")
+            if col is not None:
+                hit_rows.append(r)
+                hit_cols.append(col)
+        for fld, value in rs.singletons.items():
+            if value is None:
+                continue
+            col = numeric_cols.get(fld)
+            if col is not None:
+                if not _is_numeric(value):
+                    raise RecordError(f"admission {rs.admission_id}: singleton field "
+                                      f"{fld!r} is numeric, got {value!r}")
+                num_rows.append(r)
+                num_cols.append(col)
+                num_vals.append(float(value))
+            elif fld in onehot_cols:
+                col = onehot_cols[fld].get(str(value))
+                if col is not None:
+                    hit_rows.append(r)
+                    hit_cols.append(col)
+
+    flat = np.array(flat, dtype=np.float64)
+    if not np.isfinite(flat).all():
+        for rs in record_sets:
+            for class_id, points in rs.time_series.items():
+                if not np.isfinite([v for _, v in points]).all():
+                    raise RecordError(f"admission {rs.admission_id}: non-finite value "
+                                      f"in time series (class {class_id})")
+
+    values = np.full((len(record_sets), schema.width()), np.nan)
+    values[:, [*pair_cols.values(), *by_kind["singleton_onehot"].values()]] = 0.0
+    values[hit_rows, hit_cols] = 1.0
+    values[num_rows, num_cols] = num_vals
+    for length, series in groups.items():
+        starts, rows, targets = zip(*series)
+        m = flat[np.add.outer(starts, np.arange(length))]
+        lo, hi = m.min(axis=1), m.max(axis=1)
+        # the mean can round just outside the range (one ulp below x for [x, x, x]);
+        # np.maximum/np.minimum would not keep the mean's signed zero on ties
+        mean = m.mean(axis=1)
+        mean = np.where(lo > mean, lo, mean)
+        mean = np.where(hi < mean, hi, mean)
+        values[np.array(rows)[:, None], targets] = np.column_stack((mean, hi, lo))
     return FeatureTable(schema=schema, admission_ids=ids, values=values)
 
 
@@ -233,7 +230,7 @@ def build_feature_table(record_sets) -> tuple[FeatureTable, FeatureSchema]:
 
 
 # ---------------------------------------------------------------------------
-# Disk formats: three JSONL inputs per split, JSON schema, JSONL table.
+# Disk formats: three JSONL inputs per split and a JSON schema.
 
 def load_record_sets(timeseries_path, events_path, singletons_path) -> list[StructuredRecordSet]:
     """Group the three record files by admission.
@@ -286,13 +283,28 @@ def schema_from_dict(payload: dict) -> FeatureSchema:
     version = payload.get("format_version")
     if version != SCHEMA_FORMAT_VERSION:
         raise ValueError(f"unsupported schema format version: {version!r}")
-    columns = [
-        FeatureColumn(d["name"], d["kind"], d["source_id"]) for d in payload["columns"]
-    ]
+    require_keys(payload, ("columns", "categorical_maps"), "schema")
+    columns = []
+    for i, d in enumerate(payload["columns"]):
+        require_keys(d, ("name", "kind", "source_id"), f"schema column {i}")
+        columns.append(FeatureColumn(d["name"], d["kind"], d["source_id"]))
+        if d["kind"] not in COLUMN_KINDS:
+            raise ValueError(f"schema column {i} has unknown kind {d['kind']!r}")
     maps = {
         fld: {v: int(i) for v, i in m.items()}
         for fld, m in payload["categorical_maps"].items()
     }
+    # apply_schema writes all three aggregates of a class, and finds one-hot
+    # columns through categorical_maps
+    have = {(c.kind, c.source_id) for c in columns}
+    missing = {(k, sid) for kind, sid in have if kind in TS_KINDS for k in TS_KINDS} - have
+    if missing:
+        raise ValueError(f"schema has no time-series columns {sorted(missing)}")
+    onehots = {sid for kind, sid in have if kind == "singleton_onehot"}
+    mapped = {f"{fld}={v}" for fld, m in maps.items() for v in m}
+    if onehots != mapped:
+        raise ValueError("schema one-hot columns and categorical_maps differ on "
+                         f"{sorted(onehots ^ mapped)}")
     return FeatureSchema(columns=columns, categorical_maps=maps)
 
 
@@ -310,30 +322,3 @@ def load_schema(path) -> FeatureSchema:
 def schema_sha256(schema: FeatureSchema) -> str:
     blob = json.dumps(schema_to_dict(schema), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def save_feature_table(table: FeatureTable, path) -> None:
-    """One line per admission; MISSING cells serialize as null."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for aid, row in zip(table.admission_ids, table.values):
-            cells = [None if np.isnan(v) else float(v) for v in row]
-            fh.write(json.dumps({"admission_id": aid, "cells": cells}))
-            fh.write("\n")
-
-
-def load_feature_table(path, schema: FeatureSchema) -> FeatureTable:
-    ids = []
-    rows = []
-    for rec in read_jsonl(path, RecordError,
-                          {"admission_id": object, "cells": list[FiniteNumber | None]}):
-        cells = rec["cells"]
-        if len(cells) != schema.width():
-            raise RecordError(
-                f"admission {rec['admission_id']}: row width {len(cells)} "
-                f"does not match schema width {schema.width()}"
-            )
-        ids.append(str(rec["admission_id"]))
-        rows.append(cells)
-    # null cells become NaN
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), schema.width())
-    return FeatureTable(schema=schema, admission_ids=ids, values=values)

@@ -16,9 +16,11 @@ from __future__ import annotations
 import json
 import math
 import hashlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
+
+from .dataset import require_keys
 
 # Boosting starts from a constant half-probability model, so the logistic
 # gradient is p0 - y and the hessian p0* (1 - p0).
@@ -311,10 +313,15 @@ def ensemble_from_dict(payload: dict) -> TreeEnsemble:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported ensemble format version: {version!r}")
+    require_keys(payload, ("config", "n_features", "trees"), "ensemble")
+    unknown = set(payload["config"]) - {f.name for f in fields(TreeTrainConfig)}
+    if unknown:
+        raise ValueError(f"ensemble config has unknown keys {sorted(unknown)}")
     config = TreeTrainConfig(**payload["config"])
     n_features = int(payload["n_features"])
     trees = []
     for t, td in enumerate(payload["trees"]):
+        require_keys(td, ("label_index", "n_features", "leaf_count", "nodes"), f"tree {t}")
         tree = DecisionTree(label_index=int(td["label_index"]), n_features=int(td["n_features"]),
                             leaf_count=int(td["leaf_count"]))
         tree.nodes = [_node_from_dict(nd, f"tree {t}, node {i}", n_features,

@@ -196,3 +196,48 @@ def enumerate_best_split(
         return None
     _, gain, col, thr, default_left = best
     return gain, col, thr, default_left
+
+
+def aggregate_time_series(series) -> tuple[float, float, float]:
+    """Collapse one series to (mean, max, min) with numpy calls on it alone.
+
+    Empty series yields (nan, nan, nan); a non-finite value is rejected.
+    """
+    vals = np.asarray(list(series), dtype=np.float64)
+    if vals.size == 0:
+        return (np.nan, np.nan, np.nan)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite value in time series")
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    # np.mean can round just outside the range, e.g. one ulp below x for [x, x, x]
+    return (min(max(float(np.mean(vals)), lo), hi), hi, lo)
+
+
+def featurize_row(rs, schema) -> np.ndarray:
+    """One admission's table row, built column by column from its records.
+
+    Each series goes through ``aggregate_time_series`` (so a non-finite value
+    raises ValueError); indicators and one-hots read 1 when the record holds
+    the column's pair or value and 0 otherwise; numeric singletons are copied,
+    absent or None is nan.
+    """
+    row = np.full(len(schema.columns), np.nan)
+    index = {c.name: i for i, c in enumerate(schema.columns)}
+    for class_id, points in rs.time_series.items():
+        aggregates = aggregate_time_series(v for _, v in points)
+        for kind, value in zip(("ts_mean", "ts_max", "ts_min"), aggregates):
+            pos = index.get(f"{kind}:{class_id}")
+            if pos is not None:
+                row[pos] = value
+    present = {f"{category}:{item_id}" for category, item_id in rs.multivalued}
+    for i, col in enumerate(schema.columns):
+        if col.kind == "binary_indicator":
+            row[i] = 1.0 if col.source_id in present else 0.0
+        elif col.kind == "singleton_numeric":
+            value = rs.singletons.get(col.source_id)
+            row[i] = float(value) if value is not None else np.nan
+        elif col.kind == "singleton_onehot":
+            fld, _, expected = col.source_id.partition("=")
+            value = rs.singletons.get(fld)
+            row[i] = 1.0 if value is not None and str(value) == expected else 0.0
+    return row

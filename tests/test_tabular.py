@@ -1,5 +1,6 @@
-"""Featurization checks: worked examples, schema freezing, determinism, and
-property tests for the aggregation rules."""
+"""Featurization checks: worked examples, schema freezing, determinism,
+property tests for the aggregation rules, and a fuzzed comparison with the
+column-by-column oracle."""
 
 import re
 
@@ -7,21 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import aggregate_time_series, featurize_row
 from treefuse.tabular import (
-    FeatureSchema,
+    MULTIVALUED_CATEGORIES,
     RecordError,
     StructuredRecordSet,
-    aggregate_time_series,
     apply_schema,
-    binarize_multivalued,
     build_feature_table,
     build_schema,
-    encode_singletons,
-    load_feature_table,
     load_record_sets,
     load_schema,
-    save_feature_table,
     save_schema,
+    schema_from_dict,
     schema_sha256,
     schema_to_dict,
 )
@@ -127,6 +125,35 @@ class TestSchema:
         with pytest.raises(RecordError):
             build_schema(recs)
 
+    def test_null_numeric_singleton_is_absent(self):
+        recs = [
+            make_admission("a", singles={"age": 60.0}),
+            make_admission("b", singles={"age": None}),
+        ]
+        table, schema = build_feature_table(recs)
+        assert [c.name for c in schema.columns] == ["singleton_numeric:age"]
+        np.testing.assert_array_equal(table.values, [[60.0], [np.nan]])
+
+    def test_null_categorical_singleton_is_absent(self):
+        recs = [
+            make_admission("a", singles={"admission_type": "EMERGENCY"}),
+            make_admission("b", singles={"admission_type": None}),
+        ]
+        table, schema = build_feature_table(recs)
+        assert [c.name for c in schema.columns] == ["singleton_onehot:admission_type=EMERGENCY"]
+        assert schema.categorical_maps == {"admission_type": {"EMERGENCY": 0}}
+        np.testing.assert_array_equal(table.values, [[1.0], [0.0]])
+
+    def test_categorical_field_name_with_separator_rejected(self):
+        # field "x=y" with value "z" and field "x" with value "y=z" would
+        # both be the column singleton_onehot:x=y=z
+        recs = [
+            make_admission("a", singles={"x=y": "z"}),
+            make_admission("b", singles={"x": "y=z"}),
+        ]
+        with pytest.raises(RecordError, match=re.escape("contain '=': ['x=y']")):
+            build_schema(recs)
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(RecordError, match="no training records"):
             build_feature_table([])
@@ -145,9 +172,10 @@ class TestCells:
 
     def test_unseen_item_ignored(self):
         _, schema = build_feature_table(small_training_set())
-        cells = binarize_multivalued([("drug", "9999")], schema)
-        assert cells.shape == (2,)
-        np.testing.assert_array_equal(cells, [0.0, 0.0])
+        binary = [i for i, c in enumerate(schema.columns) if c.kind == "binary_indicator"]
+        table = apply_schema([make_admission("u", mv=[("drug", "9999")])], schema)
+        assert table.values.shape == (1, schema.width())
+        np.testing.assert_array_equal(table.values[0, binary], [0.0, 0.0])
 
     def test_binary_cells_never_missing(self):
         table, schema = build_feature_table(small_training_set())
@@ -165,8 +193,9 @@ class TestCells:
             make_admission("b", singles={"admission_type": "ELECTIVE"}),
         ]
         schema = build_schema(recs)
-        cells = encode_singletons({"admission_type": "EMERGENCY"}, schema)
-        np.testing.assert_array_equal(cells, [0.0, 1.0])
+        table = apply_schema([make_admission("c", singles={"admission_type": "EMERGENCY"})],
+                             schema)
+        np.testing.assert_array_equal(table.values, [[0.0, 1.0]])
 
     def test_unseen_category_all_zero(self):
         recs = [
@@ -174,8 +203,9 @@ class TestCells:
             make_admission("b", singles={"admission_type": "ELECTIVE"}),
         ]
         schema = build_schema(recs)
-        cells = encode_singletons({"admission_type": "NEWBORN"}, schema)
-        np.testing.assert_array_equal(cells, [0.0, 0.0])
+        table = apply_schema([make_admission("c", singles={"admission_type": "NEWBORN"})],
+                             schema)
+        np.testing.assert_array_equal(table.values, [[0.0, 0.0]])
 
     def test_absent_numeric_singleton_missing(self):
         recs = [
@@ -185,6 +215,15 @@ class TestCells:
         table, schema = build_feature_table(recs)
         idx = schema.column_index()
         assert np.isnan(table.values[1][idx["singleton_numeric:age"]])
+
+    @pytest.mark.parametrize("value", ["unknown", [3], True, "12"],
+                             ids=["string", "list", "bool", "numeric-string"])
+    def test_non_numeric_value_in_numeric_field_names_admission_and_field(self, value):
+        _, schema = build_feature_table(small_training_set())
+        recs = [make_admission("ok", singles={"age": 1}),
+                make_admission("adm7", singles={"age": value})]
+        with pytest.raises(RecordError, match=r"adm7: singleton field 'age' is numeric"):
+            apply_schema(recs, schema)
 
     def test_ts_aggregates_in_row(self):
         table, schema = build_feature_table(small_training_set())
@@ -268,28 +307,6 @@ class TestDiskFormats:
         save_schema(schema, path)
         loaded = load_schema(path)
         assert schema_to_dict(loaded) == schema_to_dict(schema)
-
-    def test_table_round_trip_preserves_missing(self, tmp_path):
-        table, schema = build_feature_table(
-            small_training_set() + [make_admission("bare")]
-        )
-        path = tmp_path / "table.jsonl"
-        save_feature_table(table, path)
-        loaded = load_feature_table(path, schema)
-        assert loaded.admission_ids == table.admission_ids
-        np.testing.assert_array_equal(
-            np.isnan(loaded.values), np.isnan(table.values)
-        )
-        mask = ~np.isnan(table.values)
-        np.testing.assert_array_equal(loaded.values[mask], table.values[mask])
-
-    def test_table_width_guard(self, tmp_path):
-        table, schema = build_feature_table(small_training_set())
-        path = tmp_path / "table.jsonl"
-        with open(path, "w") as fh:
-            fh.write('{"admission_id": "x", "cells": [1.0]}\n')
-        with pytest.raises(RecordError, match="width"):
-            load_feature_table(path, schema)
 
     def test_jsonl_loader_groups_by_admission(self, tmp_path):
         ts = tmp_path / "timeseries.jsonl"
@@ -394,24 +411,82 @@ class TestDiskFormats:
         assert rec.time_series == {"hr": [(0.0, -1.5e308)]}
         assert rec.singletons == {"age": 30, "flag": False, "kind": "ELECTIVE", "note": None}
 
-    @pytest.mark.parametrize(
-        "cells, shown",
-        [('"abc"', '"abc"'), ("5", "5"), ('[1.0, "x"]', '[1.0, "x"]'),
-         ("[NaN, 1.0]", "[NaN, 1.0]"), ("[true, 1.0]", "[true, 1.0]"),
-         ("[1e999, 1.0]", "[Infinity, 1.0]")],
-        ids=["string", "number", "string-cell", "nan-cell", "bool-cell", "inf-cell"],
-    )
-    def test_table_bad_cells_rejected(self, tmp_path, cells, shown):
-        table, schema = build_feature_table(small_training_set())
-        path = tmp_path / "table.jsonl"
-        path.write_text(f'{{"admission_id": "x", "cells": {cells}}}\n')
-        complaint = f"table.jsonl:1: 'cells' must be a list[FiniteNumber | None], not {shown}"
-        with pytest.raises(RecordError, match=re.escape(complaint)):
-            load_feature_table(path, schema)
+    @pytest.mark.parametrize("edit, complaint", [
+        (lambda p: p.pop("columns"), "schema has no 'columns'"),
+        (lambda p: p.pop("categorical_maps"), "schema has no 'categorical_maps'"),
+        (lambda p: p["columns"][1].pop("kind"), "schema column 1 has no 'kind'"),
+        (lambda p: p["columns"][2].pop("source_id"), "schema column 2 has no 'source_id'"),
+        (lambda p: p["columns"][1].update(kind="bogus"),
+         "schema column 1 has unknown kind 'bogus'"),
+        (lambda p: p["columns"].remove(
+            {"name": "ts_max:heart_rate", "kind": "ts_max", "source_id": "heart_rate"}),
+         "schema has no time-series columns [('ts_max', 'heart_rate')]"),
+        (lambda p: p["categorical_maps"]["admission_type"].update(NEWBORN=2),
+         "categorical_maps differ on ['admission_type=NEWBORN']"),
+        (lambda p: p["categorical_maps"].clear(),
+         "categorical_maps differ on ['admission_type=EMERGENCY']"),
+    ], ids=["no-columns", "no-maps", "no-kind", "no-source-id", "unknown-kind",
+            "partial-series", "map-value-without-column", "column-without-map-value"])
+    def test_bad_schema_payload_names_key_and_column(self, edit, complaint):
+        payload = schema_to_dict(build_schema(
+            small_training_set() + [make_admission("c", singles={"admission_type": "EMERGENCY"})]))
+        edit(payload)
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            schema_from_dict(payload)
 
-    def test_table_record_without_cells_rejected(self, tmp_path):
-        table, schema = build_feature_table(small_training_set())
-        path = tmp_path / "table.jsonl"
-        path.write_text('{"admission_id": "x"}\n')
-        with pytest.raises(RecordError, match="table.jsonl:1: .*'cells'"):
-            load_feature_table(path, schema)
+
+def fuzz_record_set(rng, aid, later, lengths):
+    """One admission's records drawn from small pools; ``later`` adds values
+    a training split never holds (unseen classes, items and categories,
+    numbers in a categorical field)."""
+    rs = StructuredRecordSet(admission_id=aid)
+    for c in range(int(rng.integers(0, 6 if later else 5))):
+        n = int(rng.integers(129, 300) if rng.uniform() < 0.03 else rng.integers(0, 41))
+        lengths.add(n)
+        draw = rng.choice(["normal", "ints", "const", "zeros", "huge"])
+        if draw == "normal":
+            vals = rng.normal(0.0, 10.0, size=n)
+        elif draw == "ints":
+            vals = rng.integers(-3, 4, size=n).astype(float)
+        elif draw == "const":
+            vals = np.full(n, rng.normal())
+        elif draw == "zeros":
+            vals = rng.choice([0.0, -0.0], size=n)
+        else:
+            vals = rng.choice([1.0, -1.0], size=n) * 10.0 ** rng.uniform(290, 308, size=n)
+        rs.time_series[f"c{c}"] = [(float(t), float(v)) for t, v in enumerate(vals)]
+    for _ in range(int(rng.integers(0, 6))):
+        category = str(rng.choice(sorted(MULTIVALUED_CATEGORIES)))
+        rs.multivalued.append((category, f"i{rng.integers(0, 6 if later else 4)}"))
+    numeric = [None, 0.0, -0.0, 3, 2**60 + 1, 1.5e300]
+    categorical = [None, "A", "B", "y=z", True, False] + (["NEW", 3.0] if later else [])
+    for f in range(3):
+        if rng.uniform() < 0.7:
+            rs.singletons[f"num{f}"] = (numeric[int(rng.integers(len(numeric)))]
+                                        if rng.uniform() < 0.5 else float(rng.normal()))
+        if rng.uniform() < 0.7:
+            rs.singletons[f"cat{f}"] = categorical[int(rng.integers(len(categorical)))]
+    if later and rng.uniform() < 0.3:
+        rs.singletons["unseen_field"] = "anything"
+    return rs
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_apply_schema_matches_column_oracle_on_fuzzed_tables():
+    rng = np.random.default_rng(20260)
+    lengths: set[int] = set()
+    for table in range(110):
+        train = [fuzz_record_set(rng, f"t{i}", False, lengths)
+                 for i in range(int(rng.integers(1, 12)))]
+        later = [fuzz_record_set(rng, f"v{i}", True, lengths)
+                 for i in range(int(rng.integers(0, 12)))]
+        later.append(make_admission("empty"))
+        schema = build_schema(train)
+        for split in (train, later, []):
+            got = apply_schema(split, schema).values
+            want = (np.stack([featurize_row(rs, schema) for rs in split]) if split
+                    else np.zeros((0, schema.width())))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), f"table {table}"
+    # every length up to 40 and one past numpy's 128-value pairwise block
+    assert set(range(41)) <= lengths and max(lengths) > 128

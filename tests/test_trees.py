@@ -451,6 +451,27 @@ class TestBadEnsembleFile:
         with pytest.raises(ValueError, match="tree 0"):
             tr.ensemble_from_dict(corrupt(edit))
 
+    @pytest.mark.parametrize("key", ["config", "n_features", "trees"])
+    def test_missing_top_level_key_named(self, key):
+        payload = corrupt(lambda tree: None)
+        del payload[key]
+        with pytest.raises(ValueError, match=re.escape(f"ensemble has no '{key}'")):
+            tr.ensemble_from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["label_index", "n_features", "leaf_count", "nodes"])
+    def test_missing_tree_key_names_tree(self, key):
+        def edit(tree):
+            del tree[key]
+        with pytest.raises(ValueError, match=re.escape(f"tree 0 has no '{key}'")):
+            tr.ensemble_from_dict(corrupt(edit))
+
+    def test_unknown_config_key_rejected(self):
+        payload = corrupt(lambda tree: None)
+        payload["config"]["max_leaves"] = 8
+        with pytest.raises(ValueError,
+                           match=re.escape("ensemble config has unknown keys ['max_leaves']")):
+            tr.ensemble_from_dict(payload)
+
     def test_intact_payload_loads(self):
         ens = tr.ensemble_from_dict(corrupt(lambda tree: None))
         np.testing.assert_array_equal(assign_leaves(ens, np.array([1.0])), [1])

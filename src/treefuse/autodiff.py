@@ -366,6 +366,23 @@ def binary_cross_entropy(yhat: Tensor, target) -> Tensor:
     return _finish(out, (yhat,), bw)
 
 
+def _lstm_step(z, c, c_out, tanh_c_out, h_out) -> np.ndarray:
+    """One LSTM step for one state (d) or a batch of states (n x d).
+
+    ``z`` is the packed pre-activation (... x 4d). Writes the new cell, its
+    tanh and the new hidden state into the three out arrays (``c_out`` may
+    be ``c``, and ``tanh_c_out`` may be ``h_out``) and returns the gates:
+    one sigmoid over all of ``z``, with the cell slice replaced by tanh.
+    """
+    d = c.shape[-1]
+    g = _sigmoid_arr(z)
+    np.tanh(z[..., 2 * d : 3 * d], out=g[..., 2 * d : 3 * d])
+    c_out[...] = g[..., d : 2 * d] * c + g[..., :d] * g[..., 2 * d : 3 * d]
+    np.tanh(c_out, out=tanh_c_out)
+    np.multiply(g[..., 3 * d :], tanh_c_out, out=h_out)
+    return g
+
+
 def lstm_sequence(
     emb: Tensor,
     w_input: Tensor,
@@ -416,13 +433,7 @@ def lstm_sequence(
     cs = np.zeros((n + 1, d))
     tanh_c = np.empty((n, d))
     for k in range(n):
-        z = pre[k] + wh @ hs[k]
-        a = gates[k]
-        a[:] = _sigmoid_arr(z)
-        np.tanh(z[2 * d : 3 * d], out=a[2 * d : 3 * d])
-        cs[k + 1] = a[d : 2 * d] * cs[k] + a[:d] * a[2 * d : 3 * d]
-        np.tanh(cs[k + 1], out=tanh_c[k])
-        hs[k + 1] = a[3 * d :] * tanh_c[k]
+        gates[k] = _lstm_step(pre[k] + wh @ hs[k], cs[k], cs[k + 1], tanh_c[k], hs[k + 1])
 
     out = Tensor(hs[:0:-1].copy() if reverse else hs[1:])
 
@@ -462,6 +473,35 @@ def lstm_sequence(
         _accum(emb, dpre @ wx)
 
     return _finish(out, (emb, w_input, w_hidden, bias), bw)
+
+
+def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:
+    """One forward-only LSTM direction over a batch of documents, keeping no
+    history.
+
+    ``ids`` is L x n and step-major: column j holds the token ids document j
+    visits, in visiting order from row 0, and ``lengths`` (non-increasing)
+    how many it has, so the documents still running at step k are the first
+    ``sum(lengths > k)`` columns. Each step gathers their rows of ``table``,
+    projects them (``table[ids[k, :a]] @ w_input.T + bias``), adds the
+    recurrent product over the running prefix of the n x d state as one
+    GEMM and writes the new hidden states to ``out[k, :a]``. ``out`` is
+    L x n x d (it may be a strided view); entries past a document's length
+    are left as they were. Takes plain arrays and records nothing on a tape.
+    """
+    d = w_hidden.shape[1]
+    # BLAS runs these few-row products faster on contiguous transposes
+    wxT = np.ascontiguousarray(w_input.T)
+    whT = np.ascontiguousarray(w_hidden.T)
+    c = np.zeros((ids.shape[1], d))
+    running = np.count_nonzero(lengths[:, None] > np.arange(ids.shape[0]), axis=0)
+    for k, a in enumerate(running):
+        z = table[ids[k, :a]] @ wxT
+        z += bias
+        if k:
+            z += out[k - 1, :a] @ whT
+        h = out[k, :a]
+        _lstm_step(z, c[:a], c[:a], h, h)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ The fusion step has four modes: `attention` as above; `average` and
 columnwise max of the leaf matrix; `text_only` bypasses the structured
 branch entirely, passing the LSTM output straight to label attention.
 
-Everything runs in float64 on the reverse-mode tape; batch size is one
-document, which keeps runs deterministic under a fixed seed.
+Everything runs in float64. Training runs on the reverse-mode tape with a
+batch size of one document, which keeps runs deterministic under a fixed
+seed; scoring a split (``predict_matrix``) runs the LSTM over batches of
+documents, forward only.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .autodiff import AdamState, Tape, Tensor, backward
 from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
+LEAF_MODES = ("attention", "average", "maxpool")
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -239,9 +242,14 @@ def predict(V: Tensor, params: ModelParams) -> Tensor:
 def forward(params: ModelParams, token_ids: np.ndarray,
             assignment: np.ndarray | None, mode: str) -> Tensor:
     """Document -> per-label probability vector."""
-    H = encode_text(token_ids, params)
+    return _head(encode_text(token_ids, params), assignment, params, mode)
+
+
+def _head(H: Tensor, assignment: np.ndarray | None, params: ModelParams,
+          mode: str) -> Tensor:
+    """Encoded document (N x d_h) -> per-label probability vector."""
     leaf_matrix = None
-    if mode in ("attention", "average", "maxpool"):
+    if mode in LEAF_MODES:
         if assignment is None:
             raise ValueError(f"fusion mode {mode!r} needs a leaf assignment")
         leaf_matrix = assemble_leaf_matrix(assignment, params)
@@ -258,13 +266,72 @@ def document_loss(params: ModelParams, token_ids, assignment, target,
     return loss, yhat
 
 
+# Padded token-steps (longest length x documents) per scoring batch. The
+# batch's output buffer is this many rows of d_h floats; a larger budget
+# scores a little faster but adds its buffer to the peak memory of the
+# validation pass inside training.
+_SCORE_BATCH_STEPS = 2048
+
+
 def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndarray:
-    """Probabilities for a whole split; rows follow docs order."""
-    rows = []
+    """Probabilities for a whole split; rows follow docs order.
+
+    Forward-only and batched: the documents are sorted longest first and
+    cut into batches of at most ``_SCORE_BATCH_STEPS`` padded token-steps
+    (a longer document is a batch of its own). Each LSTM direction runs
+    over a batch as one ``ad.lstm_scan``, one GEMM per step; the reverse
+    direction reads each document's tokens reversed. Each document's rows
+    then go through the same fusion, label attention and output layer as
+    ``forward``. Agrees with per-document ``forward`` to rounding.
+    """
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    docs = [np.asarray(ids, dtype=np.int64) for ids in docs]
+    if assignments is not None and len(assignments) != len(docs):
+        raise ValueError(f"{len(assignments)} assignments for {len(docs)} documents")
+    if mode in LEAF_MODES and assignments is None:
+        raise ValueError(f"fusion mode {mode!r} needs a leaf assignment")
+    vocab_size = params.dims.vocab_size
     for i, ids in enumerate(docs):
-        assignment = None if assignments is None else assignments[i]
-        rows.append(forward(params, ids, assignment, mode).data)
-    return np.stack(rows)
+        if ids.ndim != 1:
+            raise ValueError(f"document {i}: token ids must be 1-D, got shape {ids.shape}")
+        if ids.size == 0:
+            raise ValueError(f"document {i}: cannot encode an empty document")
+        if ids.min() < 0 or ids.max() >= vocab_size:
+            raise IndexError(f"document {i}: token id out of range [0, {vocab_size})")
+
+    lengths = np.array([ids.size for ids in docs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    batches = []
+    start = 0
+    while start < len(order):
+        size = max(1, _SCORE_BATCH_STEPS // int(lengths[order[start]]))
+        batches.append(order[start : start + size])
+        start += size
+    d = params.dims.d_lstm
+    buf = np.empty(max((int(lengths[b[0]]) * len(b) for b in batches), default=0) * 2 * d)
+
+    table = params.word_emb.data
+    probs = np.empty((len(docs), params.dims.n_labels))
+    for batch in batches:
+        lens = lengths[batch]
+        steps = int(lens[0])
+        fwd_ids = np.zeros((steps, len(batch)), dtype=np.int64)
+        bwd_ids = np.zeros_like(fwd_ids)
+        for j, i in enumerate(batch):
+            fwd_ids[: lens[j], j] = docs[i]
+            bwd_ids[: lens[j], j] = docs[i][::-1]
+        out = buf[: steps * len(batch) * 2 * d].reshape(steps, len(batch), 2 * d)
+        ad.lstm_scan(table, fwd_ids, lens, params.lstm_fwd_wx.data,
+                     params.lstm_fwd_wh.data, params.lstm_fwd_b.data, out[:, :, :d])
+        ad.lstm_scan(table, bwd_ids, lens, params.lstm_bwd_wx.data,
+                     params.lstm_bwd_wh.data, params.lstm_bwd_b.data, out[:, :, d:])
+        for j, i in enumerate(batch):
+            n = lens[j]
+            H = Tensor(np.concatenate((out[:n, j, :d], out[n - 1 :: -1, j, d:]), axis=1))
+            assignment = None if assignments is None else assignments[i]
+            probs[i] = _head(H, assignment, params, mode).data
+    return probs
 
 
 @dataclass

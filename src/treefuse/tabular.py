@@ -211,9 +211,15 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
         starts, rows, targets = zip(*series)
         m = flat[np.add.outer(starts, np.arange(length))]
         lo, hi = m.min(axis=1), m.max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = m.mean(axis=1)
+            # a finite series whose sum overflows (or meets inf - inf in
+            # numpy's pairwise blocks): average the scaled values instead
+            big = ~np.isfinite(mean)
+            if big.any():
+                mean[big] = np.sum(m[big] / length, axis=1)
         # the mean can round just outside the range (one ulp below x for [x, x, x]);
         # np.maximum/np.minimum would not keep the mean's signed zero on ties
-        mean = m.mean(axis=1)
         mean = np.where(lo > mean, lo, mean)
         mean = np.where(hi < mean, hi, mean)
         values[np.array(rows)[:, None], targets] = np.column_stack((mean, hi, lo))

@@ -209,8 +209,12 @@ def aggregate_time_series(series) -> tuple[float, float, float]:
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite value in time series")
     lo, hi = float(np.min(vals)), float(np.max(vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(vals))
+        if not np.isfinite(mean):  # the sum overflowed, or met inf - inf
+            mean = float(np.sum(vals / vals.size))
     # np.mean can round just outside the range, e.g. one ulp below x for [x, x, x]
-    return (min(max(float(np.mean(vals)), lo), hi), hi, lo)
+    return (min(max(mean, lo), hi), hi, lo)
 
 
 def featurize_row(rs, schema) -> np.ndarray:

@@ -382,21 +382,30 @@ class TestTraining:
         assert best_row["val_micro_f1"] == result.best_val_micro_f1
 
     def test_one_forward_per_document(self, monkeypatch):
-        # each training document is scored in its own step; only the
-        # validation split gets a separate pass
-        calls = []
+        # each training document is scored in its own step, once per epoch;
+        # the validation split gets one batched scoring pass per epoch
+        forwards, scored = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
+        def counted_forward(*args, **kwargs):
+            forwards.append(1)
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(tm, "forward", counted)
+        def counted_predict_matrix(params, docs, assignments, mode):
+            scored.append((docs, assignments))
+            return predict_matrix(params, docs, assignments, mode)
+
+        monkeypatch.setattr(tm, "forward", counted_forward)
+        monkeypatch.setattr(tm, "predict_matrix", counted_predict_matrix)
         params = toy_params(seed=14)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=1, seed=5, metric_k=2)
+        settings = TrainSettings(epochs=2, seed=5, metric_k=2)
+        val_docs, val_assignments = docs[3:], assignments[3:]
         train_model(params, docs[:3], assignments[:3], targets[:3],
-                    docs[3:], assignments[3:], targets[3:], settings)
-        assert len(calls) == 4
+                    val_docs, val_assignments, targets[3:], settings)
+        assert len(forwards) == 3 * 2
+        assert len(scored) == 2
+        for got_docs, got_assignments in scored:
+            assert got_docs is val_docs and got_assignments is val_assignments
 
     def test_train_micro_f1_scores_in_step_probabilities(self):
         # at lr 0 no step changes the parameters, so the in-step
@@ -433,6 +442,78 @@ class TestTraining:
         lines = result.log_csv().strip().splitlines()
         assert lines[0] == ",".join(tm.LOG_COLUMNS)
         assert len(lines) == 3
+
+
+class TestPredictMatrix:
+    def docs_and_assignments(self, lengths, seed=40):
+        rng = np.random.default_rng(seed)
+        docs = [rng.integers(0, TOY.vocab_size, size=n) for n in lengths]
+        return docs, [toy_assignment(rng=rng) for _ in lengths]
+
+    @pytest.mark.parametrize("budget", [None, 9])
+    @pytest.mark.parametrize("mode", tm.FUSION_MODES)
+    def test_matches_per_document_forward(self, mode, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(tm, "_SCORE_BATCH_STEPS", budget)
+        budget = tm._SCORE_BATCH_STEPS
+        shapes = []
+        scan = tm.ad.lstm_scan
+
+        def spy(table, ids, *args):
+            shapes.append(ids.shape)
+            return scan(table, ids, *args)
+
+        monkeypatch.setattr(tm.ad, "lstm_scan", spy)
+        # ragged and unsorted, with ties, one-token documents and one
+        # document longer than the budget
+        lengths = [3, 1, 7, 3, 1, budget + 1, 5, 7, 2, 1]
+        docs, assignments = self.docs_and_assignments(lengths)
+        params = toy_params(seed=41)
+        got = predict_matrix(params, docs, assignments, mode)
+        want = np.stack([forward(params, ids, a, mode).data
+                         for ids, a in zip(docs, assignments)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # the long document is a batch of its own; each batch runs both
+        # directions and stays inside the budget otherwise
+        assert shapes[0] == shapes[1] == (budget + 1, 1)
+        assert all(steps * n <= budget for steps, n in shapes[2:])
+        assert sum(n for _, n in shapes) == 2 * len(docs)
+
+    def test_empty_split(self):
+        params = toy_params()
+        for mode, assignments in (("text_only", None), ("attention", [])):
+            probs = predict_matrix(params, [], assignments, mode)
+            assert probs.shape == (0, TOY.n_labels)
+
+    def test_assignment_count_must_match_documents(self):
+        params = toy_params()
+        docs, assignments = self.docs_and_assignments([3, 2, 4])
+        with pytest.raises(ValueError, match="2 assignments for 3 documents"):
+            predict_matrix(params, docs, assignments[:2], "attention")
+        with pytest.raises(ValueError, match="4 assignments for 3 documents"):
+            predict_matrix(params, docs, assignments + assignments[:1], "attention")
+
+    def test_rejections(self):
+        params = toy_params()
+        docs, assignments = self.docs_and_assignments([3, 2, 4])
+        with pytest.raises(ValueError, match="document 1.*empty"):
+            predict_matrix(params, [docs[0], np.array([], dtype=np.int64)],
+                           assignments[:2], "attention")
+        with pytest.raises(ValueError, match="unknown fusion mode"):
+            predict_matrix(params, docs, assignments, "sum")
+        with pytest.raises(ValueError, match="needs a leaf assignment"):
+            predict_matrix(params, docs, None, "maxpool")
+        with pytest.raises(ValueError, match="needs a leaf assignment"):
+            predict_matrix(params, docs, [assignments[0], None, assignments[2]],
+                           "average")
+        for bad in (TOY.vocab_size, -1):
+            with pytest.raises(IndexError, match="document 2"):
+                predict_matrix(params, docs[:2] + [np.array([1, bad])],
+                               assignments, "text_only")
+        # leaf 3 is in the merged table but out of range for tree 0
+        with pytest.raises(IndexError, match="tree 0"):
+            predict_matrix(params, docs, assignments[:2] + [np.array([3, 0])],
+                           "attention")
 
 
 class TestCheckpoint:

@@ -65,6 +65,20 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_time_series([1.0, np.inf])
 
+    @pytest.mark.parametrize("series, want", [
+        # the sum is inf, but the mean of these finite values is 1.7e308 / 3
+        ([1.7e308, 1.7e308, -1.7e308], 1.7e308 / 3),
+        # numpy's pairwise sum meets inf + -inf and gives nan
+        ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.0, 0.0, 0.0, 0.0], 0.0),
+    ])
+    def test_mean_of_overflowing_sum(self, series, want):
+        mean, mx, mn = aggregate_time_series(series)
+        assert mean == pytest.approx(want, rel=1e-15)
+        assert (mx, mn) == (1.7e308, -1.7e308)
+        rs = make_admission("a", ts={"hr": list(enumerate(series))})
+        table = apply_schema([rs], build_schema([rs]))
+        assert table.values[0].tolist() == [mx, mean, mn]
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
     def test_ordering_property(self, values):
         mean, mx, mn = aggregate_time_series(values)
@@ -471,7 +485,6 @@ def fuzz_record_set(rng, aid, later, lengths):
     return rs
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_apply_schema_matches_column_oracle_on_fuzzed_tables():
     rng = np.random.default_rng(20260)
     lengths: set[int] = set()

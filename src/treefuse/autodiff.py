@@ -479,25 +479,28 @@ def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:
     """One forward-only LSTM direction over a batch of documents, keeping no
     history.
 
-    ``ids`` is L x n and step-major: column j holds the token ids document j
-    visits, in visiting order from row 0, and ``lengths`` (non-increasing)
-    how many it has, so the documents still running at step k are the first
-    ``sum(lengths > k)`` columns. Each step gathers their rows of ``table``,
-    projects them (``table[ids[k, :a]] @ w_input.T + bias``), adds the
+    ``ids`` is L x n and step-major: column j holds the row numbers of
+    ``table`` that document j visits, in visiting order from row 0, and
+    ``lengths`` (non-increasing) how many it has, so the documents still
+    running at step k are the first ``sum(lengths > k)`` columns. Every row
+    of ``table`` is projected once, before the step loop, as one GEMM
+    (``table @ w_input.T + bias``); pass only the rows the batch uses (its
+    distinct tokens), since the projection holds len(table) x 4d floats.
+    Each step gathers its running prefix's projected rows, adds the
     recurrent product over the running prefix of the n x d state as one
     GEMM and writes the new hidden states to ``out[k, :a]``. ``out`` is
     L x n x d (it may be a strided view); entries past a document's length
     are left as they were. Takes plain arrays and records nothing on a tape.
     """
     d = w_hidden.shape[1]
-    # BLAS runs these few-row products faster on contiguous transposes
-    wxT = np.ascontiguousarray(w_input.T)
+    # BLAS runs these few-row products faster on a contiguous transpose
     whT = np.ascontiguousarray(w_hidden.T)
+    proj = table @ w_input.T
+    proj += bias
     c = np.zeros((ids.shape[1], d))
     running = np.count_nonzero(lengths[:, None] > np.arange(ids.shape[0]), axis=0)
     for k, a in enumerate(running):
-        z = table[ids[k, :a]] @ wxT
-        z += bias
+        z = proj[ids[k, :a]]
         if k:
             z += out[k - 1, :a] @ whT
         h = out[k, :a]

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, backward
+from .dataset import require_keys
 from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
@@ -267,9 +268,10 @@ def document_loss(params: ModelParams, token_ids, assignment, target,
 
 
 # Padded token-steps (longest length x documents) per scoring batch. The
-# batch's output buffer is this many rows of d_h floats; a larger budget
-# scores a little faster but adds its buffer to the peak memory of the
-# validation pass inside training.
+# batch's output buffer is this many rows of d_h floats, and the input
+# projection of one direction at most this many (one per distinct token) of
+# 4 d_lstm floats; a larger budget scores a little faster but adds its
+# buffers to the peak memory of the validation pass inside training.
 _SCORE_BATCH_STEPS = 2048
 
 
@@ -278,11 +280,13 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
 
     Forward-only and batched: the documents are sorted longest first and
     cut into batches of at most ``_SCORE_BATCH_STEPS`` padded token-steps
-    (a longer document is a batch of its own). Each LSTM direction runs
-    over a batch as one ``ad.lstm_scan``, one GEMM per step; the reverse
-    direction reads each document's tokens reversed. Each document's rows
-    then go through the same fusion, label attention and output layer as
-    ``forward``. Agrees with per-document ``forward`` to rounding.
+    (a longer document is a batch of its own). A batch's distinct tokens
+    are found once; each LSTM direction projects their embeddings in one
+    GEMM and runs over the batch as one ``ad.lstm_scan``, one recurrent GEMM
+    per step; the reverse direction reads each document's tokens reversed.
+    Each document's rows then go through the same fusion, label attention
+    and output layer as ``forward``. Agrees with per-document ``forward`` to
+    rounding.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
@@ -317,14 +321,19 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
         lens = lengths[batch]
         steps = int(lens[0])
         fwd_ids = np.zeros((steps, len(batch)), dtype=np.int64)
-        bwd_ids = np.zeros_like(fwd_ids)
         for j, i in enumerate(batch):
             fwd_ids[: lens[j], j] = docs[i]
-            bwd_ids[: lens[j], j] = docs[i][::-1]
+        # both directions project only the batch's distinct tokens
+        tokens, fwd_ids = np.unique(fwd_ids, return_inverse=True)
+        fwd_ids = fwd_ids.reshape(steps, len(batch))
+        bwd_ids = np.zeros_like(fwd_ids)
+        for j, n in enumerate(lens):
+            bwd_ids[:n, j] = fwd_ids[n - 1 :: -1, j]
+        rows = table[tokens]
         out = buf[: steps * len(batch) * 2 * d].reshape(steps, len(batch), 2 * d)
-        ad.lstm_scan(table, fwd_ids, lens, params.lstm_fwd_wx.data,
+        ad.lstm_scan(rows, fwd_ids, lens, params.lstm_fwd_wx.data,
                      params.lstm_fwd_wh.data, params.lstm_fwd_b.data, out[:, :, :d])
-        ad.lstm_scan(table, bwd_ids, lens, params.lstm_bwd_wx.data,
+        ad.lstm_scan(rows, bwd_ids, lens, params.lstm_bwd_wx.data,
                      params.lstm_bwd_wh.data, params.lstm_bwd_b.data, out[:, :, d:])
         for j, i in enumerate(batch):
             n = lens[j]
@@ -424,6 +433,9 @@ def train_model(
             grad_norm_total += ad.clip_gradients(tensors, settings.clip_norm)
             ad.adam_step(tensors, adam)
             loss_total += loss_value
+        # free the last step's gradients before the validation pass, whose
+        # buffers set the process's peak memory
+        ad.zero_grads(tensors)
 
         train_f1 = micro_f1(PredictionBatch(train_probs, train_targets))
         val_probs = predict_matrix(
@@ -465,19 +477,30 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Parameters and metadata from ``save_checkpoint``'s archive; every
+    complaint names the file."""
     with np.load(path, allow_pickle=False) as archive:
+        if "meta_json" not in archive.files:
+            raise ValueError(f"{path}: no 'meta_json' entry")
         meta = json.loads(str(archive["meta_json"]))
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
-                f"unsupported checkpoint format version: {meta.get('format_version')!r}"
+                f"{path}: unsupported checkpoint format version: "
+                f"{meta.get('format_version')!r}"
             )
+        require_keys(meta, ("dims",), str(path))
         d = meta["dims"]
+        require_keys(d, [f.name for f in fields(ModelDims)], f"{path} dims")
         dims = ModelDims(
             vocab_size=int(d["vocab_size"]), n_labels=int(d["n_labels"]),
             leaf_counts=tuple(int(c) for c in d["leaf_counts"]),
             d_e=int(d["d_e"]), d_lstm=int(d["d_lstm"]),
             d_t=int(d["d_t"]), d_l=int(d["d_l"]),
         )
+        try:
+            dims.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid dims: {exc}") from None
         tensors = {}
         for name, shape in param_shapes(dims).items():
             array = archive[name] if name in archive.files else None
@@ -486,5 +509,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 raise ValueError(
                     f"{path}: array {name!r} is {found}, expected shape {shape}"
                 )
+            if not np.isfinite(array).all():
+                raise ValueError(f"{path}: array {name!r} has a non-finite value")
             tensors[name] = Tensor(array.copy(), requires_grad=True)
     return ModelParams(dims, tensors), meta

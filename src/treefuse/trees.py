@@ -236,15 +236,17 @@ def train_ensemble(
     return TreeEnsemble(trees=trees, config=config, n_features=features.shape[1])
 
 
-def route_row(tree: DecisionTree, row: np.ndarray) -> TreeNode:
-    """Walk a row from the root to its leaf node."""
-    node = tree.nodes[0]
-    while not node.is_leaf:
+def route_row(tree: DecisionTree, row) -> TreeNode:
+    """Walk a row (any sequence of floats, NaN for missing) from the root to
+    its leaf node."""
+    nodes = tree.nodes
+    node = nodes[0]
+    while node.leaf_id < 0:
         v = row[node.column]
-        if np.isnan(v):
-            node = tree.nodes[node.left if node.default_left else node.right]
+        if v != v:  # NaN
+            node = nodes[node.left if node.default_left else node.right]
         else:
-            node = tree.nodes[node.left if v < node.threshold else node.right]
+            node = nodes[node.left if v < node.threshold else node.right]
     return node
 
 
@@ -255,7 +257,9 @@ def assign_leaves(ensemble: TreeEnsemble, row: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"row has shape {row.shape}, ensemble expects ({ensemble.n_features},)"
         )
-    return np.array([route_row(t, row).leaf_id for t in ensemble.trees], dtype=np.int64)
+    # Python floats: the walk then makes no numpy scalar per node
+    values = row.tolist()
+    return np.array([route_row(t, values).leaf_id for t in ensemble.trees], dtype=np.int64)
 
 
 def total_leaves(ensemble: TreeEnsemble) -> int:

@@ -198,6 +198,19 @@ def enumerate_best_split(
     return gain, col, thr, default_left
 
 
+def route_row(tree, row: np.ndarray):
+    """Walk a float64 row array from the root to its leaf node, one numpy
+    scalar comparison per node (NaN takes the node's default side)."""
+    node = tree.nodes[0]
+    while not node.is_leaf:
+        v = row[node.column]
+        if np.isnan(v):
+            node = tree.nodes[node.left if node.default_left else node.right]
+        else:
+            node = tree.nodes[node.left if v < node.threshold else node.right]
+    return node
+
+
 def aggregate_time_series(series) -> tuple[float, float, float]:
     """Collapse one series to (mean, max, min) with numpy calls on it alone.
 

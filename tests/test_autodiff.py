@@ -409,6 +409,39 @@ class TestLSTM:
         for t, want in zip(tensors, grads):
             np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("distinct_rows", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_scan_matches_per_document_sequence(self, reverse, distinct_rows):
+        # documents repeat tokens and never hold id 0, the padding id; the
+        # scan is handed either the whole table or only the distinct rows
+        d_in, d_hid = 4, 3
+        rng = np.random.default_rng([7, reverse, distinct_rows])
+        table = rng.normal(size=(9, d_in))
+        wx, wh, b = (rng.normal(size=s) * 0.4
+                     for s in ((4 * d_hid, d_in), (4 * d_hid, d_hid), (4 * d_hid,)))
+        lengths = np.array([7, 7, 5, 2, 1])
+        docs = [rng.integers(1, 5, size=n) for n in lengths]
+        ids = np.zeros((lengths[0], len(docs)), dtype=np.int64)
+        for j, doc in enumerate(docs):
+            ids[: lengths[j], j] = doc[::-1] if reverse else doc
+        rows = table
+        if distinct_rows:
+            tokens, ids = np.unique(ids, return_inverse=True)
+            ids = ids.reshape(lengths[0], len(docs))
+            rows = table[tokens]
+        # a strided view, as scoring passes one half of its output buffer
+        buf = np.full((lengths[0], len(docs), 2 * d_hid), np.nan)
+        out = buf[:, :, d_hid:]
+        ad.lstm_scan(rows, ids, lengths, wx, wh, b, out)
+
+        for j, doc in enumerate(docs):
+            states = ad.lstm_sequence(Tensor(table[doc]), Tensor(wx), Tensor(wh),
+                                      Tensor(b), reverse=reverse).data
+            want = states[::-1] if reverse else states
+            np.testing.assert_allclose(out[: lengths[j], j], want, rtol=1e-12, atol=0)
+            assert np.isnan(out[lengths[j] :, j]).all()
+        assert np.isnan(buf[:, :, :d_hid]).all()
+
     def test_matches_scalar_recurrence(self):
         from oracles import scalar_lstm_states
 

@@ -2,6 +2,8 @@
 mode-equivalence properties, end-to-end gradient fidelity, and the
 training loop's contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,25 @@ class TestTraining:
         for got_docs, got_assignments in scored:
             assert got_docs is val_docs and got_assignments is val_assignments
 
+    def test_gradients_freed_before_validation_pass(self, monkeypatch):
+        # the last step's gradients would otherwise sit in memory beside the
+        # validation pass's buffers
+        grads_seen = []
+
+        def spy(params, docs, assignments, mode):
+            grads_seen.append([(name, t.grad) for name, t in params.named()])
+            return predict_matrix(params, docs, assignments, mode)
+
+        monkeypatch.setattr(tm, "predict_matrix", spy)
+        params = toy_params(seed=19)
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=2, seed=5, metric_k=2)
+        train_model(params, docs[:3], assignments[:3], targets[:3],
+                    docs[3:], assignments[3:], targets[3:], settings)
+        assert len(grads_seen) == 2
+        for grads in grads_seen:
+            assert [name for name, g in grads if g is not None] == []
+
     def test_train_micro_f1_scores_in_step_probabilities(self):
         # at lr 0 no step changes the parameters, so the in-step
         # probabilities are exactly those of a scoring pass
@@ -543,8 +564,6 @@ class TestCheckpoint:
         params = toy_params(seed=23)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, params, {})
-        import json
-
         with np.load(path) as archive:
             arrays = {k: archive[k] for k in archive.files}
         meta = json.loads(str(arrays["meta_json"]))
@@ -567,6 +586,50 @@ class TestCheckpoint:
             arrays["leaf_table"] = arrays["leaf_table"][:-1]
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="ckpt.npz.*leaf_table"):
+            load_checkpoint(path)
+
+
+class TestBadCheckpoint:
+    """Each damaged archive is refused with a ValueError naming the file."""
+
+    def damaged(self, tmp_path, edit):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, toy_params(seed=25), {})
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        edit(arrays, meta)
+        if "meta_json" in arrays:
+            arrays["meta_json"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        return path
+
+    def test_missing_meta_json(self, tmp_path):
+        path = self.damaged(tmp_path, lambda arrays, meta: arrays.pop("meta_json"))
+        with pytest.raises(ValueError, match="ckpt.npz.*meta_json"):
+            load_checkpoint(path)
+
+    def test_missing_dims_key(self, tmp_path):
+        path = self.damaged(tmp_path, lambda arrays, meta: meta["dims"].pop("d_l"))
+        with pytest.raises(ValueError, match="ckpt.npz dims.*'d_l'"):
+            load_checkpoint(path)
+
+    def test_invalid_dims(self, tmp_path):
+        def no_leaves(arrays, meta):
+            meta["dims"]["leaf_counts"] = [3, 0]
+            arrays["leaf_table"] = arrays["leaf_table"][:3]
+
+        path = self.damaged(tmp_path, no_leaves)
+        with pytest.raises(ValueError, match="ckpt.npz.*at least one leaf"):
+            load_checkpoint(path)
+
+    def test_non_finite_array(self, tmp_path):
+        def nan_bias(arrays, meta):
+            arrays["out_bias"] = arrays["out_bias"].copy()
+            arrays["out_bias"][1] = np.nan
+
+        path = self.damaged(tmp_path, nan_bias)
+        with pytest.raises(ValueError, match="ckpt.npz.*'out_bias'.*non-finite"):
             load_checkpoint(path)
 
 

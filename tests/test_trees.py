@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treefuse import trees as tr
 from treefuse.trees import (
@@ -22,7 +23,7 @@ from treefuse.trees import (
     train_tree,
 )
 
-from oracles import enumerate_best_split
+from oracles import enumerate_best_split, route_row as numpy_route_row
 
 RNG = np.random.default_rng(20240818)
 
@@ -364,6 +365,57 @@ class TestLeafPlumbing:
             config=TreeTrainConfig(), n_features=1,
         )
         assert total_leaves(ens) == 6
+
+
+def routing_ensemble():
+    """Trees whose thresholds include 0.0 (a -1/1 column), a rounded midpoint
+    of adjacent floats, an integer grid and normals, with missing cells."""
+    rng = np.random.default_rng(77)
+    n = 80
+    x = np.column_stack([
+        rng.choice([-1.0, 1.0], size=n),
+        rng.choice([1.0, np.nextafter(1.0, 2.0)], size=n),
+        rng.integers(0, 6, size=n).astype(np.float64),
+        rng.normal(size=n),
+        rng.normal(size=n),
+    ])
+    x[rng.uniform(size=x.shape) < 0.2] = np.nan
+    score = np.nan_to_num(x) @ rng.normal(size=(5, 8)) + rng.normal(size=(n, 8))
+    labels = (score > 0.0).astype(np.float64)
+    ens = train_ensemble(x, labels, TreeTrainConfig(min_positives=0))
+    splits = [node for t in ens.trees for node in t.nodes if not node.is_leaf]
+    specials = [np.nan, 0.0, -0.0, np.inf, -np.inf]
+    for node in splits:
+        thr = float(node.threshold)
+        specials += [thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf)]
+    return ens, splits, specials
+
+
+ROUTING = routing_ensemble()
+
+
+class TestRoutingOracle:
+    def test_fixture_covers_edge_thresholds(self):
+        ens, splits, _ = ROUTING
+        assert all(len(t.nodes) > 1 for t in ens.trees)
+        assert {node.column for node in splits} == set(range(5))
+        assert 0.0 in {node.threshold for node in splits}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_float_walk_matches_numpy_walk(self, data):
+        # NaN cells, values exactly at thresholds, +-0.0, adjacent floats and
+        # arbitrary floats: both walks end in the same leaf of every tree
+        ens, _, specials = ROUTING
+        cell = st.one_of(st.sampled_from(specials), st.floats())
+        row = np.array(data.draw(st.lists(cell, min_size=5, max_size=5)))
+        values = row.tolist()
+        for tree in ens.trees:
+            assert tr.route_row(tree, values) is numpy_route_row(tree, row)
+        np.testing.assert_array_equal(
+            assign_leaves(ens, row),
+            [numpy_route_row(tree, row).leaf_id for tree in ens.trees],
+        )
 
 
 BAD_CONFIG_FIELDS = [

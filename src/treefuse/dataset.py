@@ -1,17 +1,29 @@
-"""Dataset files and split manifests.
+"""Dataset files, split manifests, and the JSON artefact layer.
 
 Notes are line-delimited records (admission_id, text); labels are
 line-delimited records (admission_id, list of label names). The label
 space is the sorted set of names observed in the training split. Splits
 are seeded shuffles cut at rounded cumulative boundaries and written to a
 manifest file so later stages agree on membership exactly.
+
+Every JSON artefact a stage hands to a later one (schema, ensemble,
+vocabulary, manifest, checkpoint metadata) is written by ``write_json``,
+digested by ``json_sha256``, read by ``read_json`` and ``check``ed against
+a spec that maps each key it must hold to a type: a class, a union,
+``Integer``, ``FiniteNumber``, ``list[T]``, ``dict[str, T]`` or, for a
+format version, ``Literal[v]``. ``read_jsonl`` checks each record the same
+way. Each artefact states its spec once, beside its reader.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
-from typing import get_args, get_origin
+from collections import Counter
+from itertools import repeat
+from types import GenericAlias
+from typing import Literal
 
 import numpy as np
 
@@ -21,30 +33,91 @@ class DatasetError(ValueError):
 
 
 _DECODER = json.JSONDecoder()
+_LITERAL = type(Literal[0])
 
 
-class _FiniteNumberType(type):
-    def __instancecheck__(cls, value, _max=sys.float_info.max) -> bool:
+class _SpecType(type):
+    def __instancecheck__(cls, value) -> bool:
+        return cls.accepts(value)
+
+
+class FiniteNumber(metaclass=_SpecType):
+    """Spec type of a finite number (not a bool, NaN or ±Infinity)."""
+
+    @staticmethod
+    def accepts(value, _max=sys.float_info.max) -> bool:
         # bool is not a number here, and NaN fails the comparisons
-        return value.__class__ in (float, int) and -_max <= value <= _max
+        return (isinstance(value, float) or value.__class__ is int) and -_max <= value <= _max
 
 
-class FiniteNumber(metaclass=_FiniteNumberType):
-    """``read_jsonl`` type of a finite JSON number (not a bool, NaN or ±Infinity)."""
+class Integer(metaclass=_SpecType):
+    """Spec type of an integer (not a bool)."""
+
+    @staticmethod
+    def accepts(value) -> bool:
+        return value.__class__ is int
 
 
-def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
+def _is(value, kind) -> bool:
+    """``isinstance`` extended to ``list[T]``, ``dict[str, T]`` and ``Literal[...]``."""
+    if kind.__class__ is _LITERAL:
+        return any(value.__class__ is v.__class__ and value == v for v in kind.__args__)
+    if kind.__class__ is not GenericAlias:
+        return isinstance(value, kind)
+    outer, item = kind.__origin__, kind.__args__[-1]
+    # a dict's keys are not checked: JSON object keys are strings
+    items = value.values() if isinstance(value, dict) else value
+    test = _is if item.__class__ in (GenericAlias, _LITERAL) else isinstance
+    return isinstance(value, outer) and all(map(test, items, repeat(item)))
+
+
+def check(payload, spec: dict, where: str) -> None:
+    """Raise DatasetError, naming ``where``, the key and the value, unless
+    ``payload`` is an object holding each key of ``spec`` with a value of its type."""
+    if not isinstance(payload, dict):
+        raise DatasetError(f"{where} is a {type(payload).__name__}, not an object")
+    for key, kind in spec.items():
+        if key not in payload:
+            raise DatasetError(f"{where} has no {key!r}")
+        if kind is object:
+            continue
+        value = payload[key]
+        # isinstance's dispatch to accepts would double a time-series record's check
+        if not (kind.accepts(value) if kind.__class__ is _SpecType else _is(value, kind)):
+            name = kind.__name__ if isinstance(kind, type) else (
+                str(kind).replace(f"{__name__}.", "").replace("typing.", ""))
+            raise DatasetError(f"{where} {key!r} must be a {name}, "
+                               f"not {json.dumps(value, default=repr)[:60]}")
+
+
+def write_json(payload, path) -> None:
+    """The artefact file format: sorted keys, one-space indent, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def json_sha256(payload) -> str:
+    """Digest of the compact sorted-key JSON form."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def read_json(path):
+    """The JSON value in ``path``; a file that does not parse raises DatasetError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DatasetError(f"{path}: not a JSON file: {exc}") from None
+
+
+def read_jsonl(path, error: type[ValueError], required: dict):
     """Yield the JSON object on each nonblank line of ``path``.
 
-    ``required`` maps each key a record must have to the type of its value
-    (``object`` takes any value, ``list[str]`` a list of strings). A line
-    that does not parse, is not an object, lacks a required key or holds a
-    value of the wrong type raises ``error`` naming ``path:line``.
+    ``required`` is the spec each record is ``check``ed against. A line
+    that does not parse or fails the check raises ``error`` naming
+    ``path:line``.
     """
-    # (key, type, outer type, item types): list[str] -> list, (str,)
-    typed = [(key, kind, list, get_args(kind)) if get_origin(kind) is list
-             else (key, kind, kind, ())
-             for key, kind in required.items() if kind is not object]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -56,29 +129,12 @@ def read_jsonl(path, error: type[ValueError], required: dict[str, type]):
                 rec, end = _DECODER.raw_decode(line)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
+                check(rec, required, "record")
             except json.JSONDecodeError as exc:
                 raise error(f"{path}:{lineno}: bad record: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise error(f"{path}:{lineno}: record is a {type(rec).__name__}, not an object")
-            for key in required:
-                if key not in rec:
-                    raise error(f"{path}:{lineno}: record has no {key!r}")
-            for key, kind, outer, items in typed:
-                value = rec[key]
-                if not isinstance(value, outer) or (
-                        items and not all(isinstance(v, items) for v in value)):
-                    name = (kind.__name__ if isinstance(kind, type)
-                            else str(kind).replace(f"{__name__}.", ""))
-                    raise error(f"{path}:{lineno}: {key!r} must be a {name}, "
-                                f"not {json.dumps(value)[:60]}")
+            except DatasetError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
             yield rec
-
-
-def require_keys(payload: dict, keys, where: str) -> None:
-    """Raise ValueError naming ``where`` and the first of ``keys`` not in ``payload``."""
-    for key in keys:
-        if key not in payload:
-            raise ValueError(f"{where} has no {key!r}")
 
 
 def load_notes(path) -> dict[str, str]:
@@ -169,16 +225,22 @@ def split_ids(ids, ratios, seed) -> dict[str, list[str]]:
     return parts
 
 
+_SPLITS = ("train", "val", "test")
+
+
 def save_manifest(parts: dict[str, list[str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(parts, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(parts, path)
 
 
 def load_manifest(path) -> dict[str, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        parts = json.load(fh)
-    for name in ("train", "val", "test"):
-        if name not in parts:
-            raise DatasetError(f"manifest missing split {name!r}")
-    return {name: [str(a) for a in members] for name, members in parts.items()}
+    """The three disjoint splits of ``save_manifest``'s file."""
+    parts = read_json(path)
+    where = f"manifest {path}"
+    check(parts, dict.fromkeys(_SPLITS, list[str]), where)
+    if len(parts) != len(_SPLITS):
+        raise DatasetError(f"{where} holds {sorted(parts)}, not exactly {list(_SPLITS)}")
+    ids = [aid for name in _SPLITS for aid in parts[name]]
+    if len(set(ids)) != len(ids):
+        repeated = sorted(aid for aid, n in Counter(ids).items() if n > 1)
+        raise DatasetError(f"{where} puts admissions {repeated} in more than one place")
+    return parts

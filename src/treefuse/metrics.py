@@ -10,7 +10,6 @@ top-k ties are broken toward the lower label index.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,16 +156,3 @@ def compute_all(batch: PredictionBatch, k: int = 5) -> dict[str, float]:
         f"precision_at_{k}": precision_at_k(batch, k),
     }
 
-
-def format_metrics(metrics: dict[str, float]) -> str:
-    """Flat key=value block, one metric per line, key-sorted."""
-    return "".join(f"{key}={metrics[key]!r}\n" for key in sorted(metrics))
-
-
-def save_metrics(metrics: dict[str, float], txt_path, json_path=None) -> None:
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(format_metrics(metrics))
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=1, sort_keys=True)
-            fh.write("\n")

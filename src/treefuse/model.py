@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+from typing import Literal
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, backward
-from .dataset import require_keys
+from .dataset import Integer, check
 from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
@@ -476,27 +477,25 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
     np.savez(path, meta_json=np.array(json.dumps(payload, sort_keys=True)), **arrays)
 
 
+_META_SPEC = {"format_version": Literal[CHECKPOINT_FORMAT_VERSION], "dims": dict}
+_DIMS_SPEC = {"vocab_size": Integer, "n_labels": Integer, "leaf_counts": list[Integer],
+              "d_e": Integer, "d_lstm": Integer, "d_t": Integer, "d_l": Integer}
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Parameters and metadata from ``save_checkpoint``'s archive; every
     complaint names the file."""
     with np.load(path, allow_pickle=False) as archive:
         if "meta_json" not in archive.files:
             raise ValueError(f"{path}: no 'meta_json' entry")
-        meta = json.loads(str(archive["meta_json"]))
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint format version: "
-                f"{meta.get('format_version')!r}"
-            )
-        require_keys(meta, ("dims",), str(path))
-        d = meta["dims"]
-        require_keys(d, [f.name for f in fields(ModelDims)], f"{path} dims")
-        dims = ModelDims(
-            vocab_size=int(d["vocab_size"]), n_labels=int(d["n_labels"]),
-            leaf_counts=tuple(int(c) for c in d["leaf_counts"]),
-            d_e=int(d["d_e"]), d_lstm=int(d["d_lstm"]),
-            d_t=int(d["d_t"]), d_l=int(d["d_l"]),
-        )
+        try:
+            meta = json.loads(str(archive["meta_json"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry 'meta_json' is not JSON: {exc}") from None
+        check(meta, _META_SPEC, f"{path} meta_json")
+        check(meta["dims"], _DIMS_SPEC, f"{path} dims")
+        dims = ModelDims(**{key: meta["dims"][key] for key in _DIMS_SPEC})
+        dims.leaf_counts = tuple(dims.leaf_counts)
         try:
             dims.validate()
         except ValueError as exc:

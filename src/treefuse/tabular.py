@@ -14,13 +14,13 @@ training data never produced.
 
 from __future__ import annotations
 
-import json
-import hashlib
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from .dataset import FiniteNumber, read_jsonl, require_keys
+from .dataset import (FiniteNumber, Integer, check, json_sha256, read_json, read_jsonl,
+                      write_json)
 
 SCHEMA_FORMAT_VERSION = 1
 
@@ -285,21 +285,20 @@ def schema_to_dict(schema: FeatureSchema) -> dict:
     }
 
 
+_SCHEMA_SPEC = {"format_version": Literal[SCHEMA_FORMAT_VERSION], "columns": list[dict],
+                "categorical_maps": dict[str, dict[str, Integer]]}
+_COLUMN_SPEC = dict.fromkeys(("name", "kind", "source_id"), str)
+
+
 def schema_from_dict(payload: dict) -> FeatureSchema:
-    version = payload.get("format_version")
-    if version != SCHEMA_FORMAT_VERSION:
-        raise ValueError(f"unsupported schema format version: {version!r}")
-    require_keys(payload, ("columns", "categorical_maps"), "schema")
+    check(payload, _SCHEMA_SPEC, "schema")
     columns = []
     for i, d in enumerate(payload["columns"]):
-        require_keys(d, ("name", "kind", "source_id"), f"schema column {i}")
+        check(d, _COLUMN_SPEC, f"schema column {i}")
         columns.append(FeatureColumn(d["name"], d["kind"], d["source_id"]))
         if d["kind"] not in COLUMN_KINDS:
             raise ValueError(f"schema column {i} has unknown kind {d['kind']!r}")
-    maps = {
-        fld: {v: int(i) for v, i in m.items()}
-        for fld, m in payload["categorical_maps"].items()
-    }
+    maps = payload["categorical_maps"]
     # apply_schema writes all three aggregates of a class, and finds one-hot
     # columns through categorical_maps
     have = {(c.kind, c.source_id) for c in columns}
@@ -315,16 +314,12 @@ def schema_from_dict(payload: dict) -> FeatureSchema:
 
 
 def save_schema(schema: FeatureSchema, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_dict(schema), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(schema_to_dict(schema), path)
 
 
 def load_schema(path) -> FeatureSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))
+    return schema_from_dict(read_json(path))
 
 
 def schema_sha256(schema: FeatureSchema) -> str:
-    blob = json.dumps(schema_to_dict(schema), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return json_sha256(schema_to_dict(schema))

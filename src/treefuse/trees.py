@@ -13,14 +13,13 @@ direction is stored on the node.
 
 from __future__ import annotations
 
-import json
 import math
-import hashlib
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
+from typing import Literal
 
 import numpy as np
 
-from .dataset import require_keys
+from .dataset import FiniteNumber, Integer, check, json_sha256, read_json, write_json
 
 # Boosting starts from a constant half-probability model, so the logistic
 # gradient is p0 - y and the hessian p0* (1 - p0).
@@ -266,11 +265,18 @@ def total_leaves(ensemble: TreeEnsemble) -> int:
     return sum(t.leaf_count for t in ensemble.trees)
 
 
-# The fields each node kind is saved with, and the type each is read back as.
+# The fields each node kind is saved with, and the type of each.
 _NODE_FIELDS = {
-    "leaf": {"leaf_id": int, "weight": float},
-    "split": {"column": int, "threshold": float, "default_left": bool, "left": int, "right": int},
+    "leaf": {"leaf_id": Integer, "weight": FiniteNumber},
+    "split": {"column": Integer, "threshold": FiniteNumber, "default_left": bool,
+              "left": Integer, "right": Integer},
 }
+_ENSEMBLE_SPEC = {"format_version": Literal[FORMAT_VERSION], "config": dict,
+                  "n_features": Integer, "trees": list[dict]}
+_CONFIG_SPEC = {"max_depth": Integer, "learning_rate": FiniteNumber, "l2_lambda": FiniteNumber,
+                "min_child_rows": Integer, "min_positives": Integer}
+_TREE_SPEC = {"label_index": Integer, "n_features": Integer, "leaf_count": Integer,
+              "nodes": list[dict]}
 
 
 def _node_dict(node: TreeNode) -> dict:
@@ -281,12 +287,11 @@ def _node_dict(node: TreeNode) -> dict:
 def _node_from_dict(d: dict, where: str, n_features: int, leaves: range,
                     children: range) -> TreeNode:
     """One node; ``children`` holds the indices after this node's own."""
-    try:
-        if d["kind"] not in _NODE_FIELDS:
-            raise ValueError(f"{where}: unknown node kind {d['kind']!r}")
-        node = TreeNode(**{name: read(d[name]) for name, read in _NODE_FIELDS[d["kind"]].items()})
-    except KeyError as exc:
-        raise ValueError(f"{where}: node has no {exc}") from exc
+    check(d, {"kind": str}, f"{where}: node")
+    if d["kind"] not in _NODE_FIELDS:
+        raise ValueError(f"{where}: unknown node kind {d['kind']!r}")
+    check(d, _NODE_FIELDS[d["kind"]], f"{where}: node")
+    node = TreeNode(**{name: d[name] for name in _NODE_FIELDS[d["kind"]]})
     bounds = [("leaf id", node.leaf_id, leaves)] if d["kind"] == "leaf" else [
         ("column", node.column, range(n_features)),
         ("child index", node.left, children), ("child index", node.right, children)]
@@ -314,20 +319,21 @@ def ensemble_to_dict(ensemble: TreeEnsemble) -> dict:
 
 
 def ensemble_from_dict(payload: dict) -> TreeEnsemble:
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported ensemble format version: {version!r}")
-    require_keys(payload, ("config", "n_features", "trees"), "ensemble")
-    unknown = set(payload["config"]) - {f.name for f in fields(TreeTrainConfig)}
+    check(payload, _ENSEMBLE_SPEC, "ensemble")
+    unknown = set(payload["config"]) - set(_CONFIG_SPEC)
     if unknown:
         raise ValueError(f"ensemble config has unknown keys {sorted(unknown)}")
+    check(payload["config"], _CONFIG_SPEC, "ensemble config")
     config = TreeTrainConfig(**payload["config"])
-    n_features = int(payload["n_features"])
+    n_features = payload["n_features"]
     trees = []
     for t, td in enumerate(payload["trees"]):
-        require_keys(td, ("label_index", "n_features", "leaf_count", "nodes"), f"tree {t}")
-        tree = DecisionTree(label_index=int(td["label_index"]), n_features=int(td["n_features"]),
-                            leaf_count=int(td["leaf_count"]))
+        check(td, _TREE_SPEC, f"tree {t}")
+        if td["n_features"] != n_features:
+            raise ValueError(f"tree {t}: n_features {td['n_features']} is not the "
+                             f"ensemble's {n_features}")
+        tree = DecisionTree(label_index=td["label_index"], n_features=n_features,
+                            leaf_count=td["leaf_count"])
         tree.nodes = [_node_from_dict(nd, f"tree {t}, node {i}", n_features,
                                       range(tree.leaf_count), range(i + 1, len(td["nodes"])))
                       for i, nd in enumerate(td["nodes"])]
@@ -341,17 +347,13 @@ def ensemble_from_dict(payload: dict) -> TreeEnsemble:
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:
     """Write a versioned JSON file; float repr round-trips bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(ensemble), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(ensemble_to_dict(ensemble), path)
 
 
 def load_ensemble(path) -> TreeEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
+    return ensemble_from_dict(read_json(path))
 
 
 def ensemble_sha256(ensemble: TreeEnsemble) -> str:
     """Digest of the canonical serialized form, for checkpoint metadata."""
-    blob = json.dumps(ensemble_to_dict(ensemble), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return json_sha256(ensemble_to_dict(ensemble))

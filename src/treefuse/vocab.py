@@ -8,11 +8,12 @@ always produce the same vocabulary.
 
 from __future__ import annotations
 
-import json
-import hashlib
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
+
+from .dataset import DatasetError, Integer, check, json_sha256, read_json, write_json
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -48,8 +49,7 @@ class Vocabulary:
         return np.asarray(ids, dtype=np.int64)
 
     def sha256(self) -> str:
-        blob = json.dumps(self.token_to_id, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return json_sha256(self.token_to_id)
 
 
 def build_vocabulary(texts) -> Vocabulary:
@@ -66,40 +66,16 @@ def build_vocabulary(texts) -> Vocabulary:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    payload = {"format_version": VOCAB_FORMAT_VERSION, "tokens": vocab.token_to_id}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"format_version": VOCAB_FORMAT_VERSION, "tokens": vocab.token_to_id}, path)
 
 
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != VOCAB_FORMAT_VERSION:
-        raise ValueError(f"unsupported vocabulary format version: {version!r}")
-    return Vocabulary(token_to_id={t: int(i) for t, i in payload["tokens"].items()})
-
-
-def load_text_embeddings(path, vocab: Vocabulary, d_e: int, rng) -> np.ndarray:
-    """Initial word-embedding matrix from a whitespace text file.
-
-    Each line is `token v1 v2 ... v_{d_e}`. Tokens outside the vocabulary
-    are skipped; vocabulary tokens absent from the file (the unknown token
-    included) keep a random uniform(-0.1, 0.1) row.
-    """
-    emb = rng.uniform(-0.1, 0.1, size=(len(vocab), d_e))
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            token, vals = parts[0], parts[1:]
-            if len(vals) != d_e:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {d_e} values, got {len(vals)}"
-                )
-            idx = vocab.token_to_id.get(token)
-            if idx is not None:
-                emb[idx] = np.asarray([float(v) for v in vals])
-    return emb
+    """``save_vocabulary``'s file; its ids must be 0..n-1, the unknown token's 0."""
+    payload = read_json(path)
+    check(payload, {"format_version": Literal[VOCAB_FORMAT_VERSION],
+                    "tokens": dict[str, Integer]}, f"vocabulary {path}")
+    tokens = payload["tokens"]
+    if tokens.get(UNK_TOKEN) != UNK_ID or sorted(tokens.values()) != list(range(len(tokens))):
+        raise DatasetError(f"vocabulary {path}: 'tokens' ids are not 0..{len(tokens) - 1} "
+                           f"with {UNK_TOKEN!r} at {UNK_ID}")
+    return Vocabulary(token_to_id=tokens)

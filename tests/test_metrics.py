@@ -8,13 +8,11 @@ from treefuse.metrics import (
     PredictionBatch,
     auc,
     compute_all,
-    format_metrics,
     macro_auc,
     macro_f1,
     micro_auc,
     micro_f1,
     precision_at_k,
-    save_metrics,
 )
 
 from oracles import pairwise_auc
@@ -231,19 +229,3 @@ class TestReport:
         assert np.isnan(out["macro_auc"]) and np.isnan(out["micro_auc"])
         assert out["micro_f1"] == 1.0
 
-    def test_format_round_trips_floats(self):
-        metrics = {"micro_f1": 1.0 / 3.0, "macro_auc": 0.875}
-        text = format_metrics(metrics)
-        lines = dict(line.split("=") for line in text.strip().splitlines())
-        assert float(lines["micro_f1"]) == metrics["micro_f1"]
-        assert list(lines) == sorted(metrics)
-
-    def test_save_files(self, tmp_path):
-        import json
-
-        metrics = {"micro_f1": 0.5, "precision_at_5": 0.25}
-        txt = tmp_path / "metrics.txt"
-        js = tmp_path / "metrics.json"
-        save_metrics(metrics, txt, js)
-        assert "micro_f1=0.5" in txt.read_text()
-        assert json.loads(js.read_text()) == metrics

@@ -609,6 +609,15 @@ class TestBadCheckpoint:
         with pytest.raises(ValueError, match="ckpt.npz.*meta_json"):
             load_checkpoint(path)
 
+    def test_meta_json_not_json(self, tmp_path):
+        path = self.damaged(tmp_path, lambda arrays, meta: None)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays["meta_json"] = np.array('{"dims": ')
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="ckpt.npz: entry 'meta_json' is not JSON"):
+            load_checkpoint(path)
+
     def test_missing_dims_key(self, tmp_path):
         path = self.damaged(tmp_path, lambda arrays, meta: meta["dims"].pop("d_l"))
         with pytest.raises(ValueError, match="ckpt.npz dims.*'d_l'"):

@@ -408,7 +408,7 @@ class TestDiskFormats:
         for p in paths:
             p.write_text("")
         paths[slot].write_text(line + "\n")
-        with pytest.raises(RecordError, match=re.escape(f"{paths[slot].name}:1: {complaint}")):
+        with pytest.raises(RecordError, match=re.escape(f"{paths[slot].name}:1: record {complaint}")):
             load_record_sets(*paths)
 
     def test_typed_values_accepted(self, tmp_path):

@@ -1,5 +1,6 @@
 """Vocabulary and dataset-file checks."""
 
+import json
 import re
 
 import numpy as np
@@ -23,7 +24,6 @@ from treefuse.vocab import (
     Vocabulary,
     build_vocabulary,
     clean_tokens,
-    load_text_embeddings,
     load_vocabulary,
     save_vocabulary,
 )
@@ -74,23 +74,17 @@ class TestVocabulary:
         save_vocabulary(vocab, path)
         assert load_vocabulary(path).token_to_id == vocab.token_to_id
 
-    def test_embedding_file_loading(self, tmp_path):
-        vocab = build_vocabulary(["alpha beta"])
-        path = tmp_path / "emb.txt"
-        path.write_text("alpha 1.0 2.0\nstray 9.0 9.0\n")
-        rng = np.random.default_rng(0)
-        emb = load_text_embeddings(path, vocab, d_e=2, rng=rng)
-        assert emb.shape == (3, 2)
-        np.testing.assert_array_equal(emb[vocab.token_to_id["alpha"]], [1.0, 2.0])
-        beta_row = emb[vocab.token_to_id["beta"]]
-        assert np.all(np.abs(beta_row) <= 0.1)
-
-    def test_embedding_dim_mismatch(self, tmp_path):
-        vocab = build_vocabulary(["alpha"])
-        path = tmp_path / "emb.txt"
-        path.write_text("alpha 1.0 2.0 3.0\n")
-        with pytest.raises(ValueError):
-            load_text_embeddings(path, vocab, d_e=2, rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("tokens", [
+        {"<unk>": 0, "a": 5},
+        {"<unk>": 1, "a": 0},
+        {"<unk>": 0, "a": 1, "b": 1},
+        {"a": 0, "b": 1},
+    ], ids=["gap", "unk-not-zero", "repeated-id", "no-unk"])
+    def test_ids_must_be_dense_with_unk_at_zero(self, tmp_path, tokens):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"format_version": 1, "tokens": tokens}))
+        with pytest.raises(DatasetError, match=re.escape(f"vocabulary {path}: 'tokens' ids")):
+            load_vocabulary(path)
 
 
 class TestDatasetFiles:
@@ -199,4 +193,16 @@ class TestSplit:
         path = tmp_path / "manifest.json"
         path.write_text('{"train": ["a"], "val": ["b"]}')
         with pytest.raises(DatasetError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("parts, complaint", [
+        ({"train": ["a"], "val": ["b"], "test": ["c"], "extra": ["d"]},
+         "holds ['extra', 'test', 'train', 'val'], not exactly ['train', 'val', 'test']"),
+        ({"train": ["a", "b"], "val": ["b"], "test": ["c"]}, "puts admissions ['b'] in more than one place"),
+        ({"train": ["a", "a"], "val": ["b"], "test": ["c"]}, "puts admissions ['a'] in more than one place"),
+    ], ids=["extra-split", "shared-id", "repeated-id"])
+    def test_manifest_must_be_exactly_three_disjoint_splits(self, tmp_path, parts, complaint):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(parts))
+        with pytest.raises(DatasetError, match=re.escape(f"manifest {path} {complaint}")):
             load_manifest(path)

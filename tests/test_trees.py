@@ -517,6 +517,13 @@ class TestBadEnsembleFile:
         with pytest.raises(ValueError, match=re.escape(f"tree 0 has no '{key}'")):
             tr.ensemble_from_dict(corrupt(edit))
 
+    def test_tree_n_features_must_match_ensemble(self):
+        def edit(tree):
+            tree["n_features"] = 2
+        with pytest.raises(ValueError,
+                           match=re.escape("tree 0: n_features 2 is not the ensemble's 1")):
+            tr.ensemble_from_dict(corrupt(edit))
+
     def test_unknown_config_key_rejected(self):
         payload = corrupt(lambda tree: None)
         payload["config"]["max_leaves"] = 8

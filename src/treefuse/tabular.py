@@ -10,6 +10,10 @@ cells are never missing, absence means 0.
 The schema is built once from the training split and frozen: featurizing
 any later split ignores classes, items, and categorical values the
 training data never produced.
+
+A schema file (format version 2) holds ``format_version`` and ``columns``,
+the table's columns in order, each ``{"kind", "source_id"}``. A one-hot
+column's source id is ``field=value``; the field names never contain "=".
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from typing import Literal
 
 import numpy as np
 
-from .dataset import (FiniteNumber, Integer, check, json_sha256, read_json, read_jsonl,
-                      write_json)
+from .dataset import FiniteNumber, check, json_sha256, read_json, read_jsonl, write_json
 
-SCHEMA_FORMAT_VERSION = 1
+SCHEMA_FORMAT_VERSION = 2
 
 MULTIVALUED_CATEGORIES = frozenset(
     {"lab_abnormal", "drug", "organism", "specimen", "antibiotic"}
@@ -53,22 +56,20 @@ class StructuredRecordSet:
 
 @dataclass(frozen=True)
 class FeatureColumn:
-    name: str
     kind: str
     source_id: str
+
+    @property
+    def name(self) -> str:
+        return f"{self.kind}:{self.source_id}"
 
 
 @dataclass
 class FeatureSchema:
     columns: list[FeatureColumn]
-    # categorical singleton field -> {value -> one-hot position}
-    categorical_maps: dict[str, dict[str, int]]
 
     def width(self) -> int:
         return len(self.columns)
-
-    def column_index(self) -> dict[str, int]:
-        return {c.name: i for i, c in enumerate(self.columns)}
 
 
 @dataclass
@@ -118,23 +119,13 @@ def build_schema(record_sets) -> FeatureSchema:
     if joined:
         raise RecordError(f"categorical singleton field names contain '=': {sorted(joined)}")
 
-    columns = []
-    for class_id in ts_classes:
-        for kind in TS_KINDS:
-            columns.append(FeatureColumn(f"{kind}:{class_id}", kind, class_id))
-    for pair in pairs:
-        columns.append(FeatureColumn(f"binary_indicator:{pair}", "binary_indicator", pair))
-    for fld in numeric_fields:
-        columns.append(FeatureColumn(f"singleton_numeric:{fld}", "singleton_numeric", fld))
-    cat_maps: dict[str, dict[str, int]] = {}
-    for fld, values in categorical_values.items():
-        cat_maps[fld] = {v: i for i, v in enumerate(sorted(values))}
-        for v in sorted(values):
-            sid = f"{fld}={v}"
-            columns.append(FeatureColumn(f"singleton_onehot:{sid}", "singleton_onehot", sid))
-
+    columns = [FeatureColumn(kind, class_id) for class_id in ts_classes for kind in TS_KINDS]
+    columns += [FeatureColumn("binary_indicator", pair) for pair in pairs]
+    columns += [FeatureColumn("singleton_numeric", fld) for fld in numeric_fields]
+    columns += [FeatureColumn("singleton_onehot", f"{fld}={v}")
+                for fld, values in categorical_values.items() for v in values]
     columns.sort(key=lambda c: (c.kind, c.source_id))
-    return FeatureSchema(columns=columns, categorical_maps=cat_maps)
+    return FeatureSchema(columns=columns)
 
 
 def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
@@ -159,8 +150,10 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
         by_kind[c.kind][c.source_id] = i
     ts_cols = {cid: tuple(by_kind[k][cid] for k in TS_KINDS) for cid in by_kind["ts_mean"]}
     pair_cols, numeric_cols = by_kind["binary_indicator"], by_kind["singleton_numeric"]
-    onehot_cols = {fld: {v: by_kind["singleton_onehot"][f"{fld}={v}"] for v in m}
-                   for fld, m in schema.categorical_maps.items()}
+    # (field, value) -> column; a field name holds no "=", so the first "="
+    # splits a source id, and an unknown field "a=b" never meets column a=b=c
+    onehot_cols = {tuple(sid.split("=", 1)): i
+                   for sid, i in by_kind["singleton_onehot"].items()}
 
     hit_rows, hit_cols = [], []
     num_rows, num_cols, num_vals = [], [], []
@@ -189,8 +182,8 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
                 num_rows.append(r)
                 num_cols.append(col)
                 num_vals.append(float(value))
-            elif fld in onehot_cols:
-                col = onehot_cols[fld].get(str(value))
+            else:
+                col = onehot_cols.get((fld, str(value)))
                 if col is not None:
                     hit_rows.append(r)
                     hit_cols.append(col)
@@ -277,40 +270,12 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
 def schema_to_dict(schema: FeatureSchema) -> dict:
     return {
         "format_version": SCHEMA_FORMAT_VERSION,
-        "columns": [
-            {"name": c.name, "kind": c.kind, "source_id": c.source_id}
-            for c in schema.columns
-        ],
-        "categorical_maps": schema.categorical_maps,
+        "columns": [{"kind": c.kind, "source_id": c.source_id} for c in schema.columns],
     }
 
 
-_SCHEMA_SPEC = {"format_version": Literal[SCHEMA_FORMAT_VERSION], "columns": list[dict],
-                "categorical_maps": dict[str, dict[str, Integer]]}
-_COLUMN_SPEC = dict.fromkeys(("name", "kind", "source_id"), str)
-
-
-def schema_from_dict(payload: dict) -> FeatureSchema:
-    check(payload, _SCHEMA_SPEC, "schema")
-    columns = []
-    for i, d in enumerate(payload["columns"]):
-        check(d, _COLUMN_SPEC, f"schema column {i}")
-        columns.append(FeatureColumn(d["name"], d["kind"], d["source_id"]))
-        if d["kind"] not in COLUMN_KINDS:
-            raise ValueError(f"schema column {i} has unknown kind {d['kind']!r}")
-    maps = payload["categorical_maps"]
-    # apply_schema writes all three aggregates of a class, and finds one-hot
-    # columns through categorical_maps
-    have = {(c.kind, c.source_id) for c in columns}
-    missing = {(k, sid) for kind, sid in have if kind in TS_KINDS for k in TS_KINDS} - have
-    if missing:
-        raise ValueError(f"schema has no time-series columns {sorted(missing)}")
-    onehots = {sid for kind, sid in have if kind == "singleton_onehot"}
-    mapped = {f"{fld}={v}" for fld, m in maps.items() for v in m}
-    if onehots != mapped:
-        raise ValueError("schema one-hot columns and categorical_maps differ on "
-                         f"{sorted(onehots ^ mapped)}")
-    return FeatureSchema(columns=columns, categorical_maps=maps)
+_SCHEMA_SPEC = {"format_version": Literal[SCHEMA_FORMAT_VERSION], "columns": list[dict]}
+_COLUMN_SPEC = dict.fromkeys(("kind", "source_id"), str)
 
 
 def save_schema(schema: FeatureSchema, path) -> None:
@@ -318,7 +283,29 @@ def save_schema(schema: FeatureSchema, path) -> None:
 
 
 def load_schema(path) -> FeatureSchema:
-    return schema_from_dict(read_json(path))
+    """``save_schema``'s file. Its columns are distinct, a time-series class
+    has all three aggregates, and a one-hot source id holds "="."""
+    where = f"schema {path}"
+    payload = read_json(path)
+    check(payload, _SCHEMA_SPEC, where)
+    first: dict[FeatureColumn, int] = {}
+    for i, d in enumerate(payload["columns"]):
+        check(d, _COLUMN_SPEC, f"{where} column {i}")
+        col = FeatureColumn(d["kind"], d["source_id"])
+        if col.kind not in COLUMN_KINDS:
+            raise ValueError(f"{where} column {i} has unknown kind {col.kind!r}")
+        if col in first:
+            raise ValueError(f"{where} column {i} repeats column {first[col]}, {col.name!r}")
+        if col.kind == "singleton_onehot" and "=" not in col.source_id:
+            raise ValueError(f"{where} column {i}: one-hot source id {col.source_id!r} "
+                             "is not field=value")
+        first[col] = i
+    # apply_schema writes all three aggregates of a class
+    missing = {FeatureColumn(k, c.source_id) for c in first if c.kind in TS_KINDS
+               for k in TS_KINDS} - first.keys()
+    if missing:
+        raise ValueError(f"{where} has no time-series columns {sorted(c.name for c in missing)}")
+    return FeatureSchema(columns=list(first))
 
 
 def schema_sha256(schema: FeatureSchema) -> str:

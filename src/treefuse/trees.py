@@ -9,12 +9,19 @@ directly.
 Feature matrices are float64 with NaN marking missing cells. Missing rows
 are routed to whichever child gives the higher split gain, and that default
 direction is stored on the node.
+
+An ensemble file (format version 2) holds ``format_version``, the training
+``config``, ``n_features`` and ``trees``: tree t, the tree of label t, is
+its preorder node list. A node is ``{"kind": "split", "column",
+"threshold", "default_left", "left", "right"}`` or ``{"kind": "leaf",
+"leaf_id", "weight"}``; the leaf ids of a tree are 0 up to its leaf count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from itertools import count
 from typing import Literal
 
 import numpy as np
@@ -25,7 +32,7 @@ from .dataset import FiniteNumber, Integer, check, json_sha256, read_json, write
 # gradient is p0 - y and the hessian p0* (1 - p0).
 BASE_PROB = 0.5
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -69,10 +76,11 @@ class TreeNode:
 
 @dataclass
 class DecisionTree:
-    label_index: int
-    n_features: int
     nodes: list[TreeNode] = field(default_factory=list)
-    leaf_count: int = 0
+
+    @property
+    def leaf_count(self) -> int:
+        return sum(node.leaf_id >= 0 for node in self.nodes)
 
 
 @dataclass
@@ -149,7 +157,6 @@ def train_tree(
     features: np.ndarray,
     targets: np.ndarray,
     config: TreeTrainConfig | None = None,
-    label_index: int = 0,
 ) -> DecisionTree:
     """Train one second-order regression tree against a binary target.
 
@@ -175,15 +182,15 @@ def train_tree(
 
     g = BASE_PROB - targets
     h = np.full(len(targets), BASE_PROB * (1.0 - BASE_PROB))
-    tree = DecisionTree(label_index=label_index, n_features=features.shape[1])
+    tree = DecisionTree()
+    leaf_ids = count()
 
     def make_leaf(rows: np.ndarray) -> int:
         idx = len(tree.nodes)
         g_sum = g[rows].sum()
         h_sum = h[rows].sum()
         weight = -config.learning_rate * g_sum / (h_sum + config.l2_lambda)
-        tree.nodes.append(TreeNode(leaf_id=tree.leaf_count, weight=weight))
-        tree.leaf_count += 1
+        tree.nodes.append(TreeNode(leaf_id=next(leaf_ids), weight=weight))
         return idx
 
     def build(rows: np.ndarray, depth: int) -> int:
@@ -228,10 +235,8 @@ def train_ensemble(
             f"label matrix shape {label_matrix.shape} does not match "
             f"{features.shape[0]} feature rows"
         )
-    trees = [
-        train_tree(features, label_matrix[:, t], config, label_index=t)
-        for t in range(label_matrix.shape[1])
-    ]
+    trees = [train_tree(features, label_matrix[:, t], config)
+             for t in range(label_matrix.shape[1])]
     return TreeEnsemble(trees=trees, config=config, n_features=features.shape[1])
 
 
@@ -272,11 +277,9 @@ _NODE_FIELDS = {
               "left": Integer, "right": Integer},
 }
 _ENSEMBLE_SPEC = {"format_version": Literal[FORMAT_VERSION], "config": dict,
-                  "n_features": Integer, "trees": list[dict]}
+                  "n_features": Integer, "trees": list[list[dict]]}
 _CONFIG_SPEC = {"max_depth": Integer, "learning_rate": FiniteNumber, "l2_lambda": FiniteNumber,
                 "min_child_rows": Integer, "min_positives": Integer}
-_TREE_SPEC = {"label_index": Integer, "n_features": Integer, "leaf_count": Integer,
-              "nodes": list[dict]}
 
 
 def _node_dict(node: TreeNode) -> dict:
@@ -306,43 +309,8 @@ def ensemble_to_dict(ensemble: TreeEnsemble) -> dict:
         "format_version": FORMAT_VERSION,
         "config": asdict(ensemble.config),
         "n_features": ensemble.n_features,
-        "trees": [
-            {
-                "label_index": t.label_index,
-                "n_features": t.n_features,
-                "leaf_count": t.leaf_count,
-                "nodes": [_node_dict(n) for n in t.nodes],
-            }
-            for t in ensemble.trees
-        ],
+        "trees": [[_node_dict(n) for n in t.nodes] for t in ensemble.trees],
     }
-
-
-def ensemble_from_dict(payload: dict) -> TreeEnsemble:
-    check(payload, _ENSEMBLE_SPEC, "ensemble")
-    unknown = set(payload["config"]) - set(_CONFIG_SPEC)
-    if unknown:
-        raise ValueError(f"ensemble config has unknown keys {sorted(unknown)}")
-    check(payload["config"], _CONFIG_SPEC, "ensemble config")
-    config = TreeTrainConfig(**payload["config"])
-    n_features = payload["n_features"]
-    trees = []
-    for t, td in enumerate(payload["trees"]):
-        check(td, _TREE_SPEC, f"tree {t}")
-        if td["n_features"] != n_features:
-            raise ValueError(f"tree {t}: n_features {td['n_features']} is not the "
-                             f"ensemble's {n_features}")
-        tree = DecisionTree(label_index=td["label_index"], n_features=n_features,
-                            leaf_count=td["leaf_count"])
-        tree.nodes = [_node_from_dict(nd, f"tree {t}, node {i}", n_features,
-                                      range(tree.leaf_count), range(i + 1, len(td["nodes"])))
-                      for i, nd in enumerate(td["nodes"])]
-        leaf_ids = sorted(node.leaf_id for node in tree.nodes if node.is_leaf)
-        if not leaf_ids or leaf_ids != list(range(tree.leaf_count)):
-            raise ValueError(
-                f"tree {t}: leaf ids {leaf_ids} are not exactly 0..{tree.leaf_count - 1}")
-        trees.append(tree)
-    return TreeEnsemble(trees=trees, config=config, n_features=n_features)
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:
@@ -351,7 +319,32 @@ def save_ensemble(ensemble: TreeEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> TreeEnsemble:
-    return ensemble_from_dict(read_json(path))
+    """``save_ensemble``'s file. Child indices point past their node, and each
+    tree's leaf ids are exactly 0 up to its leaf count."""
+    where = f"ensemble {path}"
+    payload = read_json(path)
+    check(payload, _ENSEMBLE_SPEC, where)
+    unknown = set(payload["config"]) - set(_CONFIG_SPEC)
+    if unknown:
+        raise ValueError(f"{where} config has unknown keys {sorted(unknown)}")
+    check(payload["config"], _CONFIG_SPEC, f"{where} config")
+    try:
+        config = TreeTrainConfig(**payload["config"])
+    except ValueError as exc:
+        raise ValueError(f"{where} config: {exc}") from None
+    n_features = payload["n_features"]
+    trees = []
+    for t, nodes in enumerate(payload["trees"]):
+        leaves = range(sum(d.get("kind") == "leaf" for d in nodes))
+        tree = DecisionTree([_node_from_dict(d, f"{where} tree {t}, node {i}", n_features,
+                                             leaves, range(i + 1, len(nodes)))
+                             for i, d in enumerate(nodes)])
+        leaf_ids = sorted(node.leaf_id for node in tree.nodes if node.is_leaf)
+        if not leaf_ids or leaf_ids != list(leaves):
+            raise ValueError(f"{where} tree {t}: leaf ids {leaf_ids} are not exactly "
+                             f"0..{len(leaves) - 1}")
+        trees.append(tree)
+    return TreeEnsemble(trees=trees, config=config, n_features=n_features)
 
 
 def ensemble_sha256(ensemble: TreeEnsemble) -> str:

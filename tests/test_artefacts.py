@@ -104,13 +104,29 @@ def test_equal_inputs_give_identical_bytes(tmp_path, name):
     assert saved(tmp_path, name).read_bytes() == first
 
 
-def test_in_memory_round_trips():
-    ens = make_ensemble()
-    assert trees.ensemble_to_dict(trees.ensemble_from_dict(trees.ensemble_to_dict(ens))) == \
-        trees.ensemble_to_dict(ens)
-    schema = make_schema()
-    assert tabular.schema_to_dict(tabular.schema_from_dict(tabular.schema_to_dict(schema))) == \
-        tabular.schema_to_dict(schema)
+def test_in_memory_round_trips(tmp_path):
+    # the payload an artefact's digest is taken of, written compact, loads back
+    for name in ("schema", "ensemble"):
+        build, _, load, canonical, filename = ARTEFACTS[name]
+        payload = canonical(build())
+        path = tmp_path / filename
+        path.write_text(json.dumps(payload))
+        assert canonical(load(path)) == payload
+
+
+def test_schema_file_layout(tmp_path):
+    payload = read_payload("schema", saved(tmp_path, "schema"))
+    assert set(payload) == {"format_version", "columns"}
+    assert all(set(column) == {"kind", "source_id"} for column in payload["columns"])
+
+
+def test_ensemble_file_layout(tmp_path):
+    payload = read_payload("ensemble", saved(tmp_path, "ensemble"))
+    assert set(payload) == {"format_version", "config", "n_features", "trees"}
+    node_keys = {"leaf": {"kind", "leaf_id", "weight"},
+                 "split": {"kind", "column", "threshold", "default_left", "left", "right"}}
+    for tree in payload["trees"]:
+        assert all(set(node) == node_keys[node["kind"]] for node in tree)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -123,25 +139,28 @@ WRONG_TYPED = [
     ("vocabulary", ("tokens", "alpha"), 1.7, "vocab.json", "tokens"),
     ("vocabulary", ("tokens", "alpha"), True, "vocab.json", "tokens"),
     ("vocabulary", ("tokens",), ["alpha"], "vocab.json", "tokens"),
-    ("schema", ("format_version",), 1.0, "schema", "format_version"),
-    ("schema", ("columns",), {"0": "ts_max:hr"}, "schema", "columns"),
-    ("schema", ("columns", 0, "source_id"), 7, "schema column 0", "source_id"),
-    ("schema", ("categorical_maps", "kind", "ER"), "0", "schema", "categorical_maps"),
-    ("schema", ("categorical_maps", "kind", "ER"), 1.7, "schema", "categorical_maps"),
-    ("ensemble", ("n_features",), "3", "ensemble", "n_features"),
-    ("ensemble", ("n_features",), 1.7, "ensemble", "n_features"),
-    ("ensemble", ("trees",), {"0": {}}, "ensemble", "trees"),
-    ("ensemble", ("config", "max_depth"), 1.7, "ensemble config", "max_depth"),
-    ("ensemble", ("config", "learning_rate"), NAN, "ensemble config", "learning_rate"),
-    ("ensemble", ("config", "l2_lambda"), INF, "ensemble config", "l2_lambda"),
-    ("ensemble", ("trees", 0, "leaf_count"), "2", "tree 0", "leaf_count"),
-    ("ensemble", ("trees", 0, "nodes"), {"0": {}}, "tree 0", "nodes"),
-    ("ensemble", ("trees", 0, "nodes", 0, "default_left"), "false", "tree 0, node 0",
+    ("schema", ("format_version",), 1.0, "schema.json", "format_version"),
+    ("schema", ("format_version",), 1, "schema.json", "format_version"),
+    ("schema", ("columns",), {"0": "ts_max:hr"}, "schema.json", "columns"),
+    ("schema", ("columns", 0, "kind"), 7, "schema.json column 0", "kind"),
+    ("schema", ("columns", 0, "source_id"), 7, "schema.json column 0", "source_id"),
+    ("ensemble", ("format_version",), 1, "ensemble.json", "format_version"),
+    ("ensemble", ("n_features",), "3", "ensemble.json", "n_features"),
+    ("ensemble", ("n_features",), 1.7, "ensemble.json", "n_features"),
+    ("ensemble", ("trees",), {"0": {}}, "ensemble.json", "trees"),
+    ("ensemble", ("config", "max_depth"), 1.7, "ensemble.json config", "max_depth"),
+    ("ensemble", ("config", "learning_rate"), NAN, "ensemble.json config", "learning_rate"),
+    ("ensemble", ("config", "l2_lambda"), INF, "ensemble.json config", "l2_lambda"),
+    ("ensemble", ("trees", 0), {"nodes": []}, "ensemble.json", "trees"),
+    ("ensemble", ("trees", 0, 0), "split", "ensemble.json", "trees"),
+    ("ensemble", ("trees", 0, 1, "kind"), 3, "ensemble.json tree 0, node 1", "kind"),
+    ("ensemble", ("trees", 0, 0, "default_left"), "false", "ensemble.json tree 0, node 0",
      "default_left"),
-    ("ensemble", ("trees", 0, "nodes", 0, "column"), 1.7, "tree 0, node 0", "column"),
-    ("ensemble", ("trees", 0, "nodes", 0, "threshold"), -INF, "tree 0, node 0", "threshold"),
-    ("ensemble", ("trees", 0, "nodes", 1, "weight"), NAN, "tree 0, node 1", "weight"),
-    ("ensemble", ("trees", 0, "nodes", 1, "leaf_id"), "0", "tree 0, node 1", "leaf_id"),
+    ("ensemble", ("trees", 0, 0, "column"), 1.7, "ensemble.json tree 0, node 0", "column"),
+    ("ensemble", ("trees", 0, 0, "threshold"), -INF, "ensemble.json tree 0, node 0",
+     "threshold"),
+    ("ensemble", ("trees", 0, 1, "weight"), NAN, "ensemble.json tree 0, node 1", "weight"),
+    ("ensemble", ("trees", 0, 1, "leaf_id"), "0", "ensemble.json tree 0, node 1", "leaf_id"),
     ("manifest", ("train",), "abc", "manifest.json", "train"),
     ("manifest", ("val",), {"d1": 1}, "manifest.json", "val"),
     ("manifest", ("test", 0), 3, "manifest.json", "test"),

@@ -2,6 +2,7 @@
 property tests for the aggregation rules, and a fuzzed comparison with the
 column-by-column oracle."""
 
+import json
 import re
 
 import numpy as np
@@ -19,10 +20,13 @@ from treefuse.tabular import (
     load_record_sets,
     load_schema,
     save_schema,
-    schema_from_dict,
     schema_sha256,
     schema_to_dict,
 )
+
+
+def column_index(schema):
+    return {c.name: i for i, c in enumerate(schema.columns)}
 
 
 def make_admission(aid, ts=None, mv=None, singles=None):
@@ -127,9 +131,9 @@ class TestSchema:
             make_admission("b", singles={"admission_type": "ELECTIVE"}),
         ]
         schema = build_schema(recs)
-        assert schema.categorical_maps["admission_type"] == {
-            "ELECTIVE": 0, "EMERGENCY": 1,
-        }
+        assert [c.source_id for c in schema.columns] == [
+            "admission_type=ELECTIVE", "admission_type=EMERGENCY",
+        ]
 
     def test_mixed_singleton_types_rejected(self):
         recs = [
@@ -155,7 +159,6 @@ class TestSchema:
         ]
         table, schema = build_feature_table(recs)
         assert [c.name for c in schema.columns] == ["singleton_onehot:admission_type=EMERGENCY"]
-        assert schema.categorical_maps == {"admission_type": {"EMERGENCY": 0}}
         np.testing.assert_array_equal(table.values, [[1.0], [0.0]])
 
     def test_categorical_field_name_with_separator_rejected(self):
@@ -176,7 +179,7 @@ class TestSchema:
 class TestCells:
     def test_binary_presence_and_absence(self):
         _, schema = build_feature_table(small_training_set())
-        idx = schema.column_index()
+        idx = column_index(schema)
         table, _ = build_feature_table(small_training_set())
         row1 = table.values[0]
         row2 = table.values[1]
@@ -198,7 +201,7 @@ class TestCells:
 
     def test_numeric_singleton_passthrough(self):
         table, schema = build_feature_table(small_training_set())
-        idx = schema.column_index()
+        idx = column_index(schema)
         assert table.values[0][idx["singleton_numeric:age"]] == 63.0
 
     def test_onehot_encoding(self):
@@ -221,13 +224,21 @@ class TestCells:
                              schema)
         np.testing.assert_array_equal(table.values, [[0.0, 0.0]])
 
+    def test_field_with_separator_misses_onehot_column(self):
+        # column kind=b=c is field "kind", value "b=c"; field "kind=b" with
+        # value "c" is unknown, though "kind=b" + "=" + "c" spells the same
+        schema = build_schema([make_admission("a", singles={"kind": "b=c"})])
+        assert [c.name for c in schema.columns] == ["singleton_onehot:kind=b=c"]
+        table = apply_schema([make_admission("x", singles={"kind=b": "c"})], schema)
+        np.testing.assert_array_equal(table.values, [[0.0]])
+
     def test_absent_numeric_singleton_missing(self):
         recs = [
             make_admission("a", singles={"age": 60.0}),
             make_admission("b", singles={}),
         ]
         table, schema = build_feature_table(recs)
-        idx = schema.column_index()
+        idx = column_index(schema)
         assert np.isnan(table.values[1][idx["singleton_numeric:age"]])
 
     @pytest.mark.parametrize("value", ["unknown", [3], True, "12"],
@@ -241,7 +252,7 @@ class TestCells:
 
     def test_ts_aggregates_in_row(self):
         table, schema = build_feature_table(small_training_set())
-        idx = schema.column_index()
+        idx = column_index(schema)
         row1 = table.values[0]
         assert row1[idx["ts_mean:heart_rate"]] == 2.0
         assert row1[idx["ts_max:heart_rate"]] == 3.0
@@ -267,7 +278,7 @@ class TestApplySchema:
         _, schema = build_feature_table(recs)
         table = apply_schema([make_admission("fresh")], schema)
         row = table.values[0]
-        idx = schema.column_index()
+        idx = column_index(schema)
         for c in schema.columns:
             v = row[idx[c.name]]
             if c.kind in ("ts_mean", "ts_max", "ts_min", "singleton_numeric"):
@@ -426,27 +437,28 @@ class TestDiskFormats:
         assert rec.singletons == {"age": 30, "flag": False, "kind": "ELECTIVE", "note": None}
 
     @pytest.mark.parametrize("edit, complaint", [
-        (lambda p: p.pop("columns"), "schema has no 'columns'"),
-        (lambda p: p.pop("categorical_maps"), "schema has no 'categorical_maps'"),
-        (lambda p: p["columns"][1].pop("kind"), "schema column 1 has no 'kind'"),
-        (lambda p: p["columns"][2].pop("source_id"), "schema column 2 has no 'source_id'"),
-        (lambda p: p["columns"][1].update(kind="bogus"),
-         "schema column 1 has unknown kind 'bogus'"),
-        (lambda p: p["columns"].remove(
-            {"name": "ts_max:heart_rate", "kind": "ts_max", "source_id": "heart_rate"}),
-         "schema has no time-series columns [('ts_max', 'heart_rate')]"),
-        (lambda p: p["categorical_maps"]["admission_type"].update(NEWBORN=2),
-         "categorical_maps differ on ['admission_type=NEWBORN']"),
-        (lambda p: p["categorical_maps"].clear(),
-         "categorical_maps differ on ['admission_type=EMERGENCY']"),
-    ], ids=["no-columns", "no-maps", "no-kind", "no-source-id", "unknown-kind",
-            "partial-series", "map-value-without-column", "column-without-map-value"])
-    def test_bad_schema_payload_names_key_and_column(self, edit, complaint):
+        (lambda p: p.pop("columns"), "has no 'columns'"),
+        (lambda p: p["columns"][1].pop("kind"), "column 1 has no 'kind'"),
+        (lambda p: p["columns"][2].pop("source_id"), "column 2 has no 'source_id'"),
+        (lambda p: p["columns"][1].update(kind="bogus"), "column 1 has unknown kind 'bogus'"),
+        (lambda p: p["columns"].__setitem__(0, "binary_indicator:drug:4821"),
+         "'columns' must be a list[dict]"),
+        (lambda p: p["columns"].remove({"kind": "ts_max", "source_id": "heart_rate"}),
+         "has no time-series columns ['ts_max:heart_rate']"),
+        (lambda p: p["columns"].append({"kind": "binary_indicator", "source_id": "drug:777"}),
+         "column 7 repeats column 1, 'binary_indicator:drug:777'"),
+        (lambda p: p["columns"][3].update(source_id="admission_type"),
+         "column 3: one-hot source id 'admission_type' is not field=value"),
+    ], ids=["no-columns", "no-kind", "no-source-id", "unknown-kind", "column-as-name",
+            "partial-series", "repeated-column", "onehot-without-separator"])
+    def test_bad_schema_payload_names_key_and_column(self, tmp_path, edit, complaint):
         payload = schema_to_dict(build_schema(
             small_training_set() + [make_admission("c", singles={"admission_type": "EMERGENCY"})]))
         edit(payload)
-        with pytest.raises(ValueError, match=re.escape(complaint)):
-            schema_from_dict(payload)
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"schema {path} {complaint}")):
+            load_schema(path)
 
 
 def fuzz_record_set(rng, aid, later, lengths):

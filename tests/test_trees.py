@@ -12,6 +12,7 @@ from treefuse import trees as tr
 from treefuse.trees import (
     DecisionTree,
     TreeEnsemble,
+    TreeNode,
     TreeTrainConfig,
     assign_leaves,
     ensemble_sha256,
@@ -293,9 +294,11 @@ class TestEnsemble:
     def test_one_tree_per_label(self):
         x = RNG.normal(size=(30, 4))
         labels = RNG.integers(0, 2, size=(30, 6)).astype(np.float64)
-        ens = train_ensemble(x, labels, TreeTrainConfig(min_positives=0))
+        cfg = TreeTrainConfig(min_positives=0)
+        ens = train_ensemble(x, labels, cfg)
         assert len(ens.trees) == 6
-        assert [t.label_index for t in ens.trees] == list(range(6))
+        for t, tree in enumerate(ens.trees):
+            assert tree.nodes == train_tree(x, labels[:, t], cfg).nodes
 
     def test_single_label_reduces_to_train_tree(self):
         x = RNG.normal(size=(25, 3))
@@ -356,14 +359,16 @@ class TestLeafPlumbing:
         np.testing.assert_array_equal(a1, a2)
 
     def test_total_leaves_sums_counts(self):
-        def fake(leaves, idx):
-            return DecisionTree(label_index=idx, n_features=1,
-                                nodes=[], leaf_count=leaves)
+        def split(left, right):
+            return TreeNode(column=0, left=left, right=right)
 
+        three = DecisionTree([split(1, 2), TreeNode(leaf_id=0), split(3, 4),
+                              TreeNode(leaf_id=1), TreeNode(leaf_id=2)])
         ens = TreeEnsemble(
-            trees=[fake(2, 0), fake(3, 1), fake(1, 2)],
+            trees=[two_row_tree(), three, DecisionTree([TreeNode(leaf_id=0)])],
             config=TreeTrainConfig(), n_features=1,
         )
+        assert [t.leaf_count for t in ens.trees] == [2, 3, 1]
         assert total_leaves(ens) == 6
 
 
@@ -439,11 +444,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, value", BAD_CONFIG_FIELDS)
     def test_bad_field_in_file_rejected(self, tmp_path, name, value):
-        payload = ensemble_to_dict(TreeEnsemble([two_row_tree()], TreeTrainConfig(), 1))
-        payload["config"][name] = value
-        path = tmp_path / "ensemble.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=name):
+        path = corrupt(tmp_path, lambda p: p["config"].update({name: value}))
+        with pytest.raises(ValueError, match=re.escape(f"ensemble {path} config") + f".*{name}"):
             load_ensemble(path)
 
     def test_bounds_accepted(self):
@@ -451,22 +453,31 @@ class TestConfig:
                         learning_rate=0.0, l2_lambda=0.0)
 
 
-def corrupt(edit):
-    """Payload of a one-tree ensemble (split, leaf 0, leaf 1) after ``edit``."""
+def corrupt(tmp_path, edit):
+    """File of a one-tree ensemble (split, leaf 0, leaf 1) after ``edit`` of
+    its payload."""
     payload = ensemble_to_dict(TreeEnsemble([two_row_tree()], TreeTrainConfig(), 1))
-    edit(payload["trees"][0])
-    return payload
+    edit(payload)
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def assert_rejected(tmp_path, edit, complaint):
+    path = corrupt(tmp_path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"ensemble {path} {complaint}")):
+        load_ensemble(path)
 
 
 def set_node(i, key, value):
-    def edit(tree):
-        tree["nodes"][i][key] = value
+    def edit(payload):
+        payload["trees"][0][i][key] = value
     return edit
 
 
 def drop_key(i, key):
-    def edit(tree):
-        del tree["nodes"][i][key]
+    def edit(payload):
+        del payload["trees"][0][i][key]
     return edit
 
 
@@ -480,59 +491,29 @@ class TestBadEnsembleFile:
         (set_node(0, "kind", "stump"), "tree 0, node 0: unknown node kind 'stump'"),
         (drop_key(0, "threshold"), "tree 0, node 0: node has no 'threshold'"),
         (drop_key(2, "weight"), "tree 0, node 2: node has no 'weight'"),
+        (drop_key(1, "kind"), "tree 0, node 1: node has no 'kind'"),
         (set_node(2, "leaf_id", 2), "tree 0, node 2: leaf id 2"),
         (set_node(2, "leaf_id", -1), "tree 0, node 2: leaf id -1"),
         (set_node(2, "leaf_id", 0), "tree 0: leaf ids [0, 0]"),
     ], ids=["self-child", "child-past-end", "negative-child", "column-past-end",
-            "negative-column", "unknown-kind", "no-threshold", "no-weight",
+            "negative-column", "unknown-kind", "no-threshold", "no-weight", "no-kind",
             "leaf-id-past-count", "negative-leaf-id", "duplicate-leaf-id"])
-    def test_rejected_naming_tree_and_node(self, edit, complaint):
-        with pytest.raises(ValueError, match=re.escape(complaint)):
-            tr.ensemble_from_dict(corrupt(edit))
+    def test_rejected_naming_tree_and_node(self, tmp_path, edit, complaint):
+        assert_rejected(tmp_path, edit, complaint)
 
-    def test_leaf_count_mismatch_rejected(self):
-        def edit(tree):
-            tree["leaf_count"] = 3
-        with pytest.raises(ValueError, match=re.escape("tree 0: leaf ids [0, 1]")):
-            tr.ensemble_from_dict(corrupt(edit))
-
-    def test_empty_tree_rejected(self):
-        def edit(tree):
-            tree["nodes"] = []
-            tree["leaf_count"] = 0
-        with pytest.raises(ValueError, match="tree 0"):
-            tr.ensemble_from_dict(corrupt(edit))
+    def test_empty_tree_rejected(self, tmp_path):
+        assert_rejected(tmp_path, lambda p: p["trees"][0].clear(), "tree 0")
 
     @pytest.mark.parametrize("key", ["config", "n_features", "trees"])
-    def test_missing_top_level_key_named(self, key):
-        payload = corrupt(lambda tree: None)
-        del payload[key]
-        with pytest.raises(ValueError, match=re.escape(f"ensemble has no '{key}'")):
-            tr.ensemble_from_dict(payload)
+    def test_missing_top_level_key_named(self, tmp_path, key):
+        assert_rejected(tmp_path, lambda p: p.pop(key), f"has no '{key}'")
 
-    @pytest.mark.parametrize("key", ["label_index", "n_features", "leaf_count", "nodes"])
-    def test_missing_tree_key_names_tree(self, key):
-        def edit(tree):
-            del tree[key]
-        with pytest.raises(ValueError, match=re.escape(f"tree 0 has no '{key}'")):
-            tr.ensemble_from_dict(corrupt(edit))
+    def test_unknown_config_key_rejected(self, tmp_path):
+        assert_rejected(tmp_path, lambda p: p["config"].update(max_leaves=8),
+                        "config has unknown keys ['max_leaves']")
 
-    def test_tree_n_features_must_match_ensemble(self):
-        def edit(tree):
-            tree["n_features"] = 2
-        with pytest.raises(ValueError,
-                           match=re.escape("tree 0: n_features 2 is not the ensemble's 1")):
-            tr.ensemble_from_dict(corrupt(edit))
-
-    def test_unknown_config_key_rejected(self):
-        payload = corrupt(lambda tree: None)
-        payload["config"]["max_leaves"] = 8
-        with pytest.raises(ValueError,
-                           match=re.escape("ensemble config has unknown keys ['max_leaves']")):
-            tr.ensemble_from_dict(payload)
-
-    def test_intact_payload_loads(self):
-        ens = tr.ensemble_from_dict(corrupt(lambda tree: None))
+    def test_intact_payload_loads(self, tmp_path):
+        ens = load_ensemble(corrupt(tmp_path, lambda p: None))
         np.testing.assert_array_equal(assign_leaves(ens, np.array([1.0])), [1])
 
 
@@ -562,11 +543,9 @@ class TestSerialization:
             )
 
     def test_version_guard(self, tmp_path):
-        ens, _ = TestLeafPlumbing().make_ensemble()
-        payload = ensemble_to_dict(ens)
-        payload["format_version"] = 99
-        with pytest.raises(ValueError):
-            tr.ensemble_from_dict(payload)
+        path = corrupt(tmp_path, lambda p: p.update(format_version=99))
+        with pytest.raises(ValueError, match=re.escape(f"ensemble {path} 'format_version'")):
+            load_ensemble(path)
 
     def test_digest_stable_and_sensitive(self):
         ens, _ = TestLeafPlumbing().make_ensemble(seed=21)

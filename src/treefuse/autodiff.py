@@ -40,11 +40,20 @@ class Tensor:
         return self.data.shape
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` into the gradient buffer.
+
+        The buffer is made on first use as ``g + 0.0`` (bitwise equal to
+        zeros plus ``g``, signed zeros included) in the layout of ``data``;
+        after that ``g`` is added in place. ``zero_grads`` keeps the buffer
+        and fills it with zeros; ``zero_grad`` drops it.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
+        """Drop the gradient buffer; the next ``accumulate_grad`` makes a new one."""
         self.grad = None
 
     def __repr__(self) -> str:
@@ -271,7 +280,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def gather(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a 2-D table; backward scatter-adds into the table."""
+    """Select rows of a 2-D table; backward scatter-adds straight into the
+    table's gradient buffer."""
     if table.data.ndim != 2:
         raise ValueError(f"gather table must be 2-D, got shape {table.data.shape}")
     ids = np.asarray(indices, dtype=np.int64)
@@ -284,9 +294,9 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         if _needs_grad(table):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            table.accumulate_grad(gt)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, ids, g)
 
     return _finish(out, (table,), bw)
 
@@ -513,7 +523,13 @@ def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state, one slot per parameter."""
+    """Bias-corrected adaptive-moment optimizer state, one slot per parameter.
+
+    ``m`` and ``v`` are made by ``reserve`` (at the latest in a parameter's
+    first step) and updated in place after that. ``adam_step`` and
+    ``clip_gradients`` compute through one scratch pair sized to the largest
+    parameter, so a step allocates no parameter-sized array.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -522,27 +538,61 @@ class AdamState:
     step_count: int = 0
     m: dict[int, np.ndarray] = field(default_factory=dict)
     v: dict[int, np.ndarray] = field(default_factory=dict)
+    scratch: np.ndarray = field(init=False, default_factory=lambda: np.empty((2, 0)))
+
+    def reserve(self, params: list[Tensor]) -> None:
+        """Make the m and v slots of the parameters past the last slot and
+        grow the scratch pair to the largest parameter.
+
+        ``train_model`` calls it before the first step. With the state
+        made inside the first step instead, among that step's temporaries,
+        later steps grew and trimmed the heap top every time, at several
+        times the minor page faults per run.
+        """
+        for idx in range(len(self.m), len(params)):
+            self.m[idx] = np.zeros_like(params[idx].data)
+            self.v[idx] = np.zeros_like(params[idx].data)
+        if params:
+            self.scratch_like(max((p.data for p in params), key=np.size))
+
+    def scratch_like(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two views shaped like ``a`` into the scratch pair, which grows
+        to ``a.size`` if it is smaller."""
+        if self.scratch.shape[1] < a.size:
+            self.scratch = np.empty((2, a.size))
+        return tuple(row[: a.size].reshape(a.shape) for row in self.scratch)
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One update over all parameters; a missing gradient counts as zero."""
+    """One update over all parameters; a missing gradient counts as zero.
+
+    Runs in place, in the operation order of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``.
+    """
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
+    state.reserve(params)
     for idx, p in enumerate(params):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if idx not in state.m:
-            state.m[idx] = np.zeros_like(p.data)
-            state.v[idx] = np.zeros_like(p.data)
         m = state.m[idx]
         v = state.v[idx]
+        a, b = state.scratch_like(p.data)
+        g = p.grad
+        if g is None:
+            g = a
+            g.fill(0.0)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=b)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1.0 - b2, out=b)
+        v += np.multiply(b, g, out=b)
+        m_hat = np.divide(m, 1.0 - b1**t, out=a)
+        denom = np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b)
+        denom += state.eps
+        m_hat *= state.lr
+        m_hat /= denom
+        p.data -= m_hat
 
 
 def sgd_step(params: list[Tensor], lr: float) -> None:
@@ -551,16 +601,20 @@ def sgd_step(params: list[Tensor], lr: float) -> None:
             p.data -= lr * p.grad
 
 
-def clip_gradients(params: list[Tensor], max_norm: float) -> float:
+def clip_gradients(params: list[Tensor], max_norm: float,
+                   state: AdamState | None = None) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``;
     a ``max_norm`` <= 0 scales nothing.
 
-    Returns the pre-clip norm.
+    Each gradient is squared into ``state``'s scratch pair when one is
+    given (else into a new array) and summed per tensor; the gradients are
+    scaled in place. Returns the pre-clip norm.
     """
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+            out = None if state is None else state.scratch_like(p.grad)[0]
+            total += float(np.sum(np.multiply(p.grad, p.grad, out=out)))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -571,5 +625,8 @@ def clip_gradients(params: list[Tensor], max_norm: float) -> float:
 
 
 def zero_grads(params: list[Tensor]) -> None:
+    """Fill every existing gradient buffer with zeros, keeping the buffer;
+    a parameter without one stays without one."""
     for p in params:
-        p.zero_grad()
+        if p.grad is not None:
+            p.grad.fill(0.0)

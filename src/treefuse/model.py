@@ -340,7 +340,10 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
             n = lens[j]
             H = Tensor(np.concatenate((out[:n, j, :d], out[n - 1 :: -1, j, d:]), axis=1))
             assignment = None if assignments is None else assignments[i]
-            probs[i] = _head(H, assignment, params, mode).data
+            try:
+                probs[i] = _head(H, assignment, params, mode).data
+            except (IndexError, ValueError) as exc:
+                raise type(exc)(f"document {i}: {exc}") from None
     return probs
 
 
@@ -389,12 +392,21 @@ def train_model(
     taken before its document's update. After the final epoch the
     parameters are restored to the epoch with the highest validation
     micro-F1 (earliest such epoch on ties).
+
+    Each parameter's gradient buffer is made in the first step of an
+    epoch that reaches it, zero-filled before every later step of that
+    epoch and dropped at the epoch's end, so the validation pass runs
+    without it. The optimizer's state is made before the first step, and
+    Adam and clipping work in place through its scratch pair.
     """
     if settings.fusion_mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {settings.fusion_mode!r}")
     n = len(train_docs)
     if n == 0:
         raise ValueError("no training documents")
+    if len(val_docs) == 0:
+        raise ValueError("empty validation split: best-epoch selection "
+                         "needs at least one validation document")
     train_targets = np.asarray(train_targets, dtype=np.float64)
     val_targets = np.asarray(val_targets, dtype=np.float64)
     if not 1 <= settings.metric_k <= train_targets.shape[1]:
@@ -404,6 +416,7 @@ def train_model(
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
     tensors = params.all()
     adam = AdamState(lr=settings.learning_rate)
+    adam.reserve(tensors)
 
     log_rows: list[dict] = []
     best_state = params.snapshot()
@@ -431,12 +444,13 @@ def train_model(
                     f"document index {int(i)}"
                 )
             backward(tape, loss)
-            grad_norm_total += ad.clip_gradients(tensors, settings.clip_norm)
+            grad_norm_total += ad.clip_gradients(tensors, settings.clip_norm, adam)
             ad.adam_step(tensors, adam)
             loss_total += loss_value
-        # free the last step's gradients before the validation pass, whose
+        # drop the gradient buffers before the validation pass, whose
         # buffers set the process's peak memory
-        ad.zero_grads(tensors)
+        for t in tensors:
+            t.zero_grad()
 
         train_f1 = micro_f1(PredictionBatch(train_probs, train_targets))
         val_probs = predict_matrix(

@@ -319,8 +319,9 @@ def save_ensemble(ensemble: TreeEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> TreeEnsemble:
-    """``save_ensemble``'s file. Child indices point past their node, and each
-    tree's leaf ids are exactly 0 up to its leaf count."""
+    """``save_ensemble``'s file. Child indices point past their node, every
+    node but the root is the child of exactly one split, and each tree's
+    leaf ids are exactly 0 up to its leaf count."""
     where = f"ensemble {path}"
     payload = read_json(path)
     check(payload, _ENSEMBLE_SPEC, where)
@@ -333,12 +334,23 @@ def load_ensemble(path) -> TreeEnsemble:
     except ValueError as exc:
         raise ValueError(f"{where} config: {exc}") from None
     n_features = payload["n_features"]
+    if n_features < 0:
+        raise ValueError(f"{where} has negative n_features {n_features}")
     trees = []
     for t, nodes in enumerate(payload["trees"]):
         leaves = range(sum(d.get("kind") == "leaf" for d in nodes))
         tree = DecisionTree([_node_from_dict(d, f"{where} tree {t}, node {i}", n_features,
                                              leaves, range(i + 1, len(nodes)))
                              for i, d in enumerate(nodes)])
+        parents = [0] * len(nodes)
+        for node in tree.nodes:
+            if not node.is_leaf:
+                parents[node.left] += 1
+                parents[node.right] += 1
+        for i, count in enumerate(parents[1:], 1):
+            if count != 1:
+                raise ValueError(f"{where} tree {t}, node {i}: node is a child of "
+                                 f"{count} splits, expected exactly 1")
         leaf_ids = sorted(node.leaf_id for node in tree.nodes if node.is_leaf)
         if not leaf_ids or leaf_ids != list(leaves):
             raise ValueError(f"{where} tree {t}: leaf ids {leaf_ids} are not exactly "

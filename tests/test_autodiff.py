@@ -5,6 +5,8 @@ random inputs; fixed worked examples pin down conventions (clamping,
 summation, tie handling) that finite differences alone would not catch.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from treefuse.autodiff import Tape, Tensor, backward
 
 from oracles import (
     FD_STEP,
+    adam_reference,
+    clip_reference,
     finite_difference_grad,
     max_rel_error,
     piecewise_sigmoid,
@@ -581,3 +585,85 @@ class TestOptimizers:
         # Both scaled by the same global factor 0.5.
         np.testing.assert_allclose(a.grad, [1.5])
         np.testing.assert_allclose(b.grad, [2.0])
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestInPlaceOptimizer:
+    """``clip_gradients`` and ``adam_step`` against allocating references:
+    tensors of different sizes share the scratch pair, one never has a
+    gradient, and one gradient carries signed zeros."""
+
+    SHAPES = [(3, 4), (9, 7), (5,), (2, 2)]
+    NO_GRAD = 3
+
+    def step_grads(self, rng, step):
+        grads = [rng.normal(scale=0.3 if step % 2 else 3.0, size=s) for s in self.SHAPES]
+        grads[2][[0, 3]] = -0.0
+        grads[self.NO_GRAD] = None
+        return grads
+
+    def test_matches_allocating_reference_bitwise(self):
+        rng = np.random.default_rng(5)
+        start = [rng.normal(size=s) for s in self.SHAPES]
+        params = [Tensor(a.copy(), requires_grad=True) for a in start]
+        state = ad.AdamState(lr=0.01)
+        ref_p = [a.copy() for a in start]
+        ref_m = [np.zeros_like(a) for a in start]
+        ref_v = [np.zeros_like(a) for a in start]
+        buffers = None
+        norms = []
+        for step in range(1, 7):
+            grads = self.step_grads(rng, step)
+            ad.zero_grads(params)
+            for p, g in zip(params, grads):
+                if g is not None:
+                    p.accumulate_grad(g)
+            # the allocating path adds each gradient to a zero array
+            ref_g = [None if g is None else np.zeros_like(g) + g for g in grads]
+            norm = ad.clip_gradients(params, 4.0, state)
+            ref_g, ref_norm = clip_reference(ref_g, 4.0)
+            assert norm == ref_norm
+            norms.append(norm)
+            ad.adam_step(params, state)
+            for i, g in enumerate(ref_g):
+                ref_p[i], ref_m[i], ref_v[i] = adam_reference(
+                    ref_p[i], g, ref_m[i], ref_v[i], step,
+                    state.lr, state.beta1, state.beta2, state.eps)
+            for i, p in enumerate(params):
+                assert_bitwise(p.data, ref_p[i])
+                assert_bitwise(state.m[i], ref_m[i])
+                assert_bitwise(state.v[i], ref_v[i])
+                if ref_g[i] is None:
+                    assert p.grad is None
+                else:
+                    assert_bitwise(p.grad, ref_g[i])
+            if buffers is None:
+                buffers = [p.grad for p in params]
+            # zero_grads keeps the buffers: the same arrays every step
+            assert all(p.grad is b for p, b in zip(params, buffers))
+        assert min(norms) < 4.0 < max(norms)
+        assert state.scratch.shape == (2, 63)
+
+    def test_reserved_step_allocates_no_parameter_sized_array(self):
+        rng = np.random.default_rng(6)
+        params = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((40,), (64, 48), (48,))]
+        for p in params:
+            p.grad = rng.normal(size=p.shape)
+        state = ad.AdamState()
+        state.reserve(params)
+        largest = max(p.data.nbytes for p in params)
+        # the first step after reserve, then a repeat step
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                ad.clip_gradients(params, 1.0, state)
+                ad.adam_step(params, state)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < largest

@@ -3,6 +3,7 @@ mode-equivalence properties, end-to-end gradient fidelity, and the
 training loop's contracts."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -454,6 +455,19 @@ class TestTraining:
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
 
+    def test_empty_validation_split_rejected_before_training(self):
+        params = toy_params(seed=18)
+        before = params.snapshot()
+        docs, assignments, targets = self.small_data(1)
+        settings = TrainSettings(epochs=1, seed=2, metric_k=2)
+        with pytest.raises(ValueError, match="empty validation split"):
+            train_model(params, docs, assignments, targets,
+                        [], [], np.zeros((0, TOY.n_labels)), settings)
+        after = params.snapshot()
+        for name in before:
+            np.testing.assert_array_equal(before[name], after[name])
+        assert all(t.grad is None for t in params.all())
+
     def test_log_csv_shape(self):
         params = toy_params(seed=15)
         docs, assignments, targets = self.small_data(3)
@@ -533,6 +547,14 @@ class TestPredictMatrix:
                                assignments, "text_only")
         # leaf 3 is in the merged table but out of range for tree 0
         with pytest.raises(IndexError, match="tree 0"):
+            predict_matrix(params, docs, assignments[:2] + [np.array([3, 0])],
+                           "attention")
+
+    def test_leaf_error_names_document(self):
+        params = toy_params()
+        docs, assignments = self.docs_and_assignments([3, 2, 4])
+        with pytest.raises(IndexError, match=re.escape(
+                "document 2: leaf 3 out of range [0, 3) for tree 0")):
             predict_matrix(params, docs, assignments[:2] + [np.array([3, 0])],
                            "attention")
 

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treefuse import trees as tr
 from treefuse.trees import (
@@ -512,9 +512,73 @@ class TestBadEnsembleFile:
         assert_rejected(tmp_path, lambda p: p["config"].update(max_leaves=8),
                         "config has unknown keys ['max_leaves']")
 
+    def test_shared_child_rejected(self, tmp_path):
+        # both children of the root are node 1: leaf 1 would be unreachable
+        # yet still counted in leaf_count
+        assert_rejected(tmp_path, set_node(0, "right", 1),
+                        "tree 0, node 1: node is a child of 2 splits, expected exactly 1")
+
+    def test_negative_n_features_rejected(self, tmp_path):
+        # a single-leaf tree has no column to check n_features against
+        def edit(payload):
+            payload["n_features"] = -1
+            payload["trees"][0] = [{"kind": "leaf", "leaf_id": 0, "weight": 0.5}]
+        assert_rejected(tmp_path, edit, "has negative n_features -1")
+
     def test_intact_payload_loads(self, tmp_path):
         ens = load_ensemble(corrupt(tmp_path, lambda p: None))
         np.testing.assert_array_equal(assign_leaves(ens, np.array([1.0])), [1])
+
+
+@st.composite
+def preorder_trees(draw, n_features=3, max_depth=4):
+    """A valid tree as a preorder node list, leaves numbered in preorder."""
+    nodes = []
+    weights = st.floats(allow_nan=False, allow_infinity=False)
+
+    def grow(depth):
+        i = len(nodes)
+        nodes.append(None)
+        if depth == max_depth or not draw(st.booleans()):
+            leaf_id = sum(n is not None and n.is_leaf for n in nodes)
+            nodes[i] = TreeNode(leaf_id=leaf_id, weight=draw(weights))
+        else:
+            left = grow(depth + 1)
+            nodes[i] = TreeNode(column=draw(st.integers(0, n_features - 1)),
+                                threshold=draw(weights), default_left=draw(st.booleans()),
+                                left=left, right=grow(depth + 1))
+        return i
+
+    grow(0)
+    return DecisionTree(nodes)
+
+
+class TestGeneratedTrees:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(preorder_trees(), min_size=1, max_size=3))
+    def test_valid_trees_round_trip(self, tmp_path_factory, forest):
+        ens = TreeEnsemble(forest, TreeTrainConfig(), 3)
+        path = tmp_path_factory.mktemp("ens") / "ensemble.json"
+        save_ensemble(ens, path)
+        loaded = load_ensemble(path)
+        assert ensemble_to_dict(loaded) == ensemble_to_dict(ens)
+        assert [t.leaf_count for t in loaded.trees] == [t.leaf_count for t in forest]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(preorder_trees(), min_size=1, max_size=3), st.data())
+    def test_shared_child_refused_naming_tree_and_node(self, tmp_path_factory, forest, data):
+        splits = [(t, i) for t, tree in enumerate(forest)
+                  for i, node in enumerate(tree.nodes) if not node.is_leaf]
+        assume(splits)
+        t, i = data.draw(st.sampled_from(splits))
+        node = forest[t].nodes[i]
+        child = node.left
+        node.right = child
+        path = tmp_path_factory.mktemp("ens") / "ensemble.json"
+        save_ensemble(TreeEnsemble(forest, TreeTrainConfig(), 3), path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"ensemble {path} tree {t}, node {child}: node is a child of 2 splits")):
+            load_ensemble(path)
 
 
 class TestSerialization:

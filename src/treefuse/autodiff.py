@@ -12,8 +12,6 @@ across workers, with updates serialized through a single owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 PROB_EPS = 1e-12
@@ -521,50 +519,39 @@ def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:
 # optimizers
 
 
-@dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state, one slot per parameter.
+    """Bias-corrected adaptive-moment optimizer state over a fixed parameter
+    list, made whole at construction.
 
-    ``m`` and ``v`` are made by ``reserve`` (at the latest in a parameter's
-    first step) and updated in place after that. ``adam_step`` and
-    ``clip_gradients`` compute through one scratch pair sized to the largest
-    parameter, so a step allocates no parameter-sized array.
+    ``m`` and ``v`` are zero arrays aligned with ``params`` and updated in
+    place by every step. ``adam_step`` and ``clip_gradients`` compute
+    through one scratch pair sized to the largest parameter, so a step
+    allocates no parameter-sized array. The state is made before the
+    first step: made inside the first step instead, among that step's
+    temporaries, it left later steps growing and trimming the heap top
+    every time, at several times the minor page faults per run.
     """
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict[int, np.ndarray] = field(default_factory=dict)
-    v: dict[int, np.ndarray] = field(default_factory=dict)
-    scratch: np.ndarray = field(init=False, default_factory=lambda: np.empty((2, 0)))
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
-    def reserve(self, params: list[Tensor]) -> None:
-        """Make the m and v slots of the parameters past the last slot and
-        grow the scratch pair to the largest parameter.
-
-        ``train_model`` calls it before the first step. With the state
-        made inside the first step instead, among that step's temporaries,
-        later steps grew and trimmed the heap top every time, at several
-        times the minor page faults per run.
-        """
-        for idx in range(len(self.m), len(params)):
-            self.m[idx] = np.zeros_like(params[idx].data)
-            self.v[idx] = np.zeros_like(params[idx].data)
-        if params:
-            self.scratch_like(max((p.data for p in params), key=np.size))
+    def __init__(self, params: list[Tensor], lr: float):
+        self.params = params
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.scratch = np.empty((2, max((p.data.size for p in params), default=0)))
 
     def scratch_like(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two views shaped like ``a`` into the scratch pair, which grows
-        to ``a.size`` if it is smaller."""
-        if self.scratch.shape[1] < a.size:
-            self.scratch = np.empty((2, a.size))
+        """Two views shaped like ``a`` into the scratch pair."""
         return tuple(row[: a.size].reshape(a.shape) for row in self.scratch)
 
 
-def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One update over all parameters; a missing gradient counts as zero.
+def adam_step(state: AdamState) -> None:
+    """One update over all of the state's parameters; a missing gradient
+    counts as zero.
 
     Runs in place, in the operation order of
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
@@ -572,11 +559,8 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    state.reserve(params)
-    for idx, p in enumerate(params):
-        m = state.m[idx]
-        v = state.v[idx]
+    b1, b2 = state.BETA1, state.BETA2
+    for p, m, v in zip(state.params, state.m, state.v):
         a, b = state.scratch_like(p.data)
         g = p.grad
         if g is None:
@@ -589,7 +573,7 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         v += np.multiply(b, g, out=b)
         m_hat = np.divide(m, 1.0 - b1**t, out=a)
         denom = np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b)
-        denom += state.eps
+        denom += state.EPS
         m_hat *= state.lr
         m_hat /= denom
         p.data -= m_hat
@@ -601,24 +585,22 @@ def sgd_step(params: list[Tensor], lr: float) -> None:
             p.data -= lr * p.grad
 
 
-def clip_gradients(params: list[Tensor], max_norm: float,
-                   state: AdamState | None = None) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``;
-    a ``max_norm`` <= 0 scales nothing.
+def clip_gradients(state: AdamState, max_norm: float) -> float:
+    """Scale the state's gradients so their global L2 norm is at most
+    ``max_norm``; a ``max_norm`` <= 0 scales nothing.
 
-    Each gradient is squared into ``state``'s scratch pair when one is
-    given (else into a new array) and summed per tensor; the gradients are
-    scaled in place. Returns the pre-clip norm.
+    Each gradient is squared into the scratch pair and summed per tensor;
+    the gradients are scaled in place. Returns the pre-clip norm.
     """
     total = 0.0
-    for p in params:
+    for p in state.params:
         if p.grad is not None:
-            out = None if state is None else state.scratch_like(p.grad)[0]
+            out = state.scratch_like(p.grad)[0]
             total += float(np.sum(np.multiply(p.grad, p.grad, out=out)))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for p in params:
+        for p in state.params:
             if p.grad is not None:
                 p.grad *= scale
     return norm

@@ -40,58 +40,43 @@ class PredictionBatch:
         return self.probs.shape[1]
 
 
-def _f1_from_counts(tp: float, fp: float, fn: float) -> float:
-    denom = 2.0 * tp + fp + fn
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * tp / denom
+def _f1(batch: PredictionBatch, threshold: float, axis: int | None) -> np.ndarray:
+    """F1 of the decisions prob >= threshold, with tp, fp and fn summed
+    along ``axis`` (None pools every cell); 0 where 2 tp + fp + fn is 0."""
+    preds = batch.probs >= threshold
+    gold = batch.gold > 0
+    tp = np.sum(preds & gold, axis=axis)
+    denom = 2 * tp + np.sum(preds & ~gold, axis=axis) + np.sum(~preds & gold, axis=axis)
+    return np.divide(2 * tp, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
 
 
 def micro_f1(batch: PredictionBatch, threshold: float = DEFAULT_THRESHOLD) -> float:
     """F1 over all (document, label) decisions pooled into one confusion
     matrix. Decisions are prob >= threshold."""
-    preds = batch.probs >= threshold
-    gold = batch.gold > 0
-    tp = float(np.sum(preds & gold))
-    fp = float(np.sum(preds & ~gold))
-    fn = float(np.sum(~preds & gold))
-    return _f1_from_counts(tp, fp, fn)
+    return float(_f1(batch, threshold, None))
 
 
 def macro_f1(batch: PredictionBatch, threshold: float = DEFAULT_THRESHOLD) -> float:
     """Unweighted mean of per-label F1 over every label column."""
-    preds = batch.probs >= threshold
-    gold = batch.gold > 0
-    scores = []
-    for lbl in range(batch.n_labels):
-        tp = float(np.sum(preds[:, lbl] & gold[:, lbl]))
-        fp = float(np.sum(preds[:, lbl] & ~gold[:, lbl]))
-        fn = float(np.sum(~preds[:, lbl] & gold[:, lbl]))
-        scores.append(_f1_from_counts(tp, fp, fn))
-    return float(np.mean(scores))
+    return float(np.mean(_f1(batch, threshold, 0)))
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average of their rank range."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # positions i..j (0-based) share ranks i+1..j+1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties sharing the average of their rank range: a
+    tie group of c members ending at position e gets (2e - c + 1) / 2."""
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[group]
 
 
 def auc(scores, labels) -> float | None:
     """Probability a random positive outranks a random negative, ties worth
-    half. Returns None when the labels are single-class."""
+    half. Returns None when the labels are single-class; refuses
+    non-finite scores."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("AUC scores must be finite")
     pos_mask = labels > 0
     n_pos = int(pos_mask.sum())
     n_neg = len(labels) - n_pos
@@ -128,14 +113,11 @@ def precision_at_k(batch: PredictionBatch, k: int) -> float:
         raise ValueError(f"k must be positive, got {k}")
     if k > batch.n_labels:
         raise ValueError(f"k={k} exceeds the {batch.n_labels}-label space")
-    label_idx = np.arange(batch.n_labels)
-    fractions = []
-    for row, gold_row in zip(batch.probs, batch.gold):
-        # lexsort's last key is primary: probability descending, then index.
-        order = np.lexsort((label_idx, -row))
-        top = order[:k]
-        fractions.append(float(np.sum(gold_row[top] > 0)) / k)
-    return float(np.mean(fractions))
+    # lexsort's last key is primary: probability descending, then index.
+    index = np.broadcast_to(np.arange(batch.n_labels), batch.probs.shape)
+    top = np.lexsort((index, -batch.probs), axis=1)[:, :k]
+    hits = np.take_along_axis(batch.gold, top, axis=1) > 0
+    return float(np.mean(np.sum(hits, axis=1) / k))
 
 
 def _nan_if_undefined(metric, batch: PredictionBatch) -> float:

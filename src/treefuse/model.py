@@ -356,6 +356,15 @@ class TrainSettings:
     clip_norm: float = 5.0
     metric_k: int = 5
 
+    def __post_init__(self):
+        for name, low in (("epochs", 1), ("learning_rate", 0.0), ("clip_norm", 0.0)):
+            value = getattr(self, name)
+            if not low <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= {low}, got {value}")
+        if self.fusion_mode not in FUSION_MODES:
+            raise ValueError(f"fusion_mode must be one of {FUSION_MODES}, "
+                             f"got {self.fusion_mode!r}")
+
 
 # One row per epoch. ``train_micro_f1`` scores the probabilities each
 # training document got in its own step, before that step's update.
@@ -399,8 +408,6 @@ def train_model(
     without it. The optimizer's state is made before the first step, and
     Adam and clipping work in place through its scratch pair.
     """
-    if settings.fusion_mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {settings.fusion_mode!r}")
     n = len(train_docs)
     if n == 0:
         raise ValueError("no training documents")
@@ -415,8 +422,7 @@ def train_model(
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
     tensors = params.all()
-    adam = AdamState(lr=settings.learning_rate)
-    adam.reserve(tensors)
+    adam = AdamState(tensors, settings.learning_rate)
 
     log_rows: list[dict] = []
     best_state = params.snapshot()
@@ -444,8 +450,8 @@ def train_model(
                     f"document index {int(i)}"
                 )
             backward(tape, loss)
-            grad_norm_total += ad.clip_gradients(tensors, settings.clip_norm, adam)
-            ad.adam_step(tensors, adam)
+            grad_norm_total += ad.clip_gradients(adam, settings.clip_norm)
+            ad.adam_step(adam)
             loss_total += loss_value
         # drop the gradient buffers before the validation pass, whose
         # buffers set the process's peak memory

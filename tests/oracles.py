@@ -284,3 +284,68 @@ def clip_reference(grads, max_norm):
         scale = max_norm / norm
         grads = [None if g is None else g * scale for g in grads]
     return grads, norm
+
+
+def _f1_from_counts(tp: float, fp: float, fn: float) -> float:
+    denom = 2.0 * tp + fp + fn
+    if denom == 0.0:
+        return 0.0
+    return 2.0 * tp / denom
+
+
+def _loop_average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, walking the stable sort: positions i..j (0-based) of
+    one tie run share the rank (i + j + 2) / 2."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def _loop_auc(scores, labels) -> float:
+    """Rank-formula AUC from the loop ranks; NaN for single-class labels."""
+    pos_mask = labels > 0
+    n_pos = int(pos_mask.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return math.nan
+    rank_sum = float(_loop_average_ranks(scores)[pos_mask].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def loop_metrics(probs: np.ndarray, gold: np.ndarray, k: int,
+                 threshold: float = 0.5) -> dict[str, float]:
+    """The metrics report computed one label and one document at a time:
+    F1 from per-label confusion counts, AUC from a walk over tie runs and
+    precision@k from a per-document lexsort. An undefined AUC is NaN."""
+    preds = probs >= threshold
+    pos = gold > 0
+    tp = float(np.sum(preds & pos))
+    fp = float(np.sum(preds & ~pos))
+    fn = float(np.sum(~preds & pos))
+    per_label_f1 = []
+    for lbl in range(probs.shape[1]):
+        p, g = preds[:, lbl], pos[:, lbl]
+        per_label_f1.append(_f1_from_counts(
+            float(np.sum(p & g)), float(np.sum(p & ~g)), float(np.sum(~p & g))))
+    aucs = [_loop_auc(probs[:, lbl], gold[:, lbl]) for lbl in range(probs.shape[1])]
+    defined = [a for a in aucs if not math.isnan(a)]
+    label_idx = np.arange(probs.shape[1])
+    fractions = []
+    for row, gold_row in zip(probs, gold):
+        top = np.lexsort((label_idx, -row))[:k]
+        fractions.append(float(np.sum(gold_row[top] > 0)) / k)
+    return {
+        "macro_auc": float(np.mean(defined)) if defined else math.nan,
+        "micro_auc": _loop_auc(probs.ravel(), gold.ravel()),
+        "macro_f1": float(np.mean(per_label_f1)),
+        "micro_f1": _f1_from_counts(tp, fp, fn),
+        f"precision_at_{k}": float(np.mean(fractions)),
+    }

@@ -532,8 +532,8 @@ class TestTapeMechanics:
 class TestOptimizers:
     def test_adam_missing_grad_leaves_param_unchanged(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        state = ad.AdamState()
-        ad.adam_step([w], state)
+        state = ad.AdamState([w], lr=1e-3)
+        ad.adam_step(state)
         np.testing.assert_array_equal(w.data, [1.0, 2.0])
         assert state.step_count == 1
 
@@ -542,16 +542,16 @@ class TestOptimizers:
         # plain gradient (m_hat / (sqrt(v_hat) + eps) ~ sign).
         w = Tensor(np.array([0.0]), requires_grad=True)
         w.grad = np.array([7.0])
-        state = ad.AdamState(lr=0.1)
-        ad.adam_step([w], state)
+        state = ad.AdamState([w], lr=0.1)
+        ad.adam_step(state)
         assert float(w.data[0]) == pytest.approx(-0.1, rel=1e-6)
 
     def test_adam_converges_on_quadratic(self):
         w = Tensor(np.array([0.0]), requires_grad=True)
-        state = ad.AdamState(lr=0.1)
+        state = ad.AdamState([w], lr=0.1)
         for _ in range(100):
             w.grad = 2.0 * (w.data - 3.0)
-            ad.adam_step([w], state)
+            ad.adam_step(state)
             w.zero_grad()
         assert abs(float(w.data[0]) - 3.0) < 0.5
 
@@ -564,14 +564,14 @@ class TestOptimizers:
     def test_clip_noop_below_threshold(self):
         w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
         w.grad = np.array([0.3, 0.4])
-        norm = ad.clip_gradients([w], 5.0)
+        norm = ad.clip_gradients(ad.AdamState([w], lr=1e-3), 5.0)
         assert norm == pytest.approx(0.5)
         np.testing.assert_array_equal(w.grad, [0.3, 0.4])
 
     def test_clip_rescales_to_threshold(self):
         w = Tensor(np.array([0.0, 0.0]), requires_grad=True)
         w.grad = np.array([30.0, 40.0])
-        norm = ad.clip_gradients([w], 5.0)
+        norm = ad.clip_gradients(ad.AdamState([w], lr=1e-3), 5.0)
         assert norm == pytest.approx(50.0)
         assert np.linalg.norm(w.grad) == pytest.approx(5.0)
         np.testing.assert_allclose(w.grad, [3.0, 4.0])
@@ -581,7 +581,7 @@ class TestOptimizers:
         b = Tensor(np.zeros(1), requires_grad=True)
         a.grad = np.array([3.0])
         b.grad = np.array([4.0])
-        ad.clip_gradients([a, b], 2.5)
+        ad.clip_gradients(ad.AdamState([a, b], lr=1e-3), 2.5)
         # Both scaled by the same global factor 0.5.
         np.testing.assert_allclose(a.grad, [1.5])
         np.testing.assert_allclose(b.grad, [2.0])
@@ -610,7 +610,7 @@ class TestInPlaceOptimizer:
         rng = np.random.default_rng(5)
         start = [rng.normal(size=s) for s in self.SHAPES]
         params = [Tensor(a.copy(), requires_grad=True) for a in start]
-        state = ad.AdamState(lr=0.01)
+        state = ad.AdamState(params, lr=0.01)
         ref_p = [a.copy() for a in start]
         ref_m = [np.zeros_like(a) for a in start]
         ref_v = [np.zeros_like(a) for a in start]
@@ -624,15 +624,15 @@ class TestInPlaceOptimizer:
                     p.accumulate_grad(g)
             # the allocating path adds each gradient to a zero array
             ref_g = [None if g is None else np.zeros_like(g) + g for g in grads]
-            norm = ad.clip_gradients(params, 4.0, state)
+            norm = ad.clip_gradients(state, 4.0)
             ref_g, ref_norm = clip_reference(ref_g, 4.0)
             assert norm == ref_norm
             norms.append(norm)
-            ad.adam_step(params, state)
+            ad.adam_step(state)
             for i, g in enumerate(ref_g):
                 ref_p[i], ref_m[i], ref_v[i] = adam_reference(
                     ref_p[i], g, ref_m[i], ref_v[i], step,
-                    state.lr, state.beta1, state.beta2, state.eps)
+                    state.lr, state.BETA1, state.BETA2, state.EPS)
             for i, p in enumerate(params):
                 assert_bitwise(p.data, ref_p[i])
                 assert_bitwise(state.m[i], ref_m[i])
@@ -654,15 +654,14 @@ class TestInPlaceOptimizer:
                   for s in ((40,), (64, 48), (48,))]
         for p in params:
             p.grad = rng.normal(size=p.shape)
-        state = ad.AdamState()
-        state.reserve(params)
+        state = ad.AdamState(params, lr=1e-3)
         largest = max(p.data.nbytes for p in params)
-        # the first step after reserve, then a repeat step
+        # the first step after construction, then a repeat step
         for _ in range(2):
             tracemalloc.start()
             try:
-                ad.clip_gradients(params, 1.0, state)
-                ad.adam_step(params, state)
+                ad.clip_gradients(state, 1.0)
+                ad.adam_step(state)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -15,7 +15,7 @@ from treefuse.metrics import (
     precision_at_k,
 )
 
-from oracles import pairwise_auc
+from oracles import loop_metrics, pairwise_auc
 
 RNG = np.random.default_rng(20240819)
 
@@ -118,6 +118,11 @@ class TestAuc:
                 assert got is None
             else:
                 assert got == expected, "rank formulation differs from pair count"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auc([0.1, bad, bad, 0.8], [0, 1, 0, 1])
 
     def test_monotone_transform_invariant(self):
         scores = RNG.uniform(size=40)
@@ -229,3 +234,21 @@ class TestReport:
         assert np.isnan(out["macro_auc"]) and np.isnan(out["micro_auc"])
         assert out["micro_f1"] == 1.0
 
+
+    def test_compute_all_matches_loop_oracle_bitwise(self):
+        # ties, signed zeros at and away from the threshold, one-row and
+        # one-label shapes
+        rng = np.random.default_rng(77)
+        tied = np.array([0.0, -0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
+        for i in range(300):
+            rows = 1 if i % 5 == 0 else int(rng.integers(2, 12))
+            labels = 1 if i % 7 == 0 else int(rng.integers(2, 7))
+            shape = (rows, labels)
+            probs = np.where(rng.random(shape) < 0.6, rng.choice(tied, size=shape),
+                             rng.random(shape))
+            gold = rng.choice(np.array([0.0, -0.0, 1.0]), size=shape)
+            k = int(rng.integers(1, labels + 1))
+            got = compute_all(batch(probs, gold), k=k)
+            want = loop_metrics(probs, gold, k)
+            assert {m: repr(v) for m, v in got.items()} == \
+                {m: repr(v) for m, v in want.items()}, (i, probs, gold, k)

@@ -442,6 +442,17 @@ class TestTraining:
         assert 0.0 < expected < 1.0
         assert result.log_rows[0]["train_micro_f1"] == expected
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 0), ("epochs", -2),
+        ("learning_rate", -1.0), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("clip_norm", -1.0), ("clip_norm", float("nan")), ("clip_norm", float("inf")),
+        ("fusion_mode", "sum"),
+    ])
+    def test_bad_settings_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainSettings(**{"epochs": 1, "seed": 0, name: value})
+
     @pytest.mark.parametrize("metric_k", [0, 4, 5])
     def test_bad_metric_k_rejected_before_training(self, metric_k):
         params = toy_params(seed=18)

@@ -5,9 +5,6 @@ is active, records a backward closure. ``backward`` replays the tape in
 reverse, accumulating gradients with ``+=`` so shared inputs sum their
 contributions. Tensors built outside a tape (or from ops on untracked
 tensors) run inference-only and carry no gradient machinery.
-
-Tapes are confined to one worker; parameters may be shared read-only
-across workers, with updates serialized through a single owner.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ _TAPE_STACK: list["Tape"] = []
 class Tensor:
     """Row-major float64 array of rank <= 3, optionally carrying a gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -31,7 +28,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._tracked = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,7 +72,7 @@ class Tape:
         return len(self._nodes)
 
     def record(self, out: Tensor, backward_fn) -> None:
-        out._tracked = True
+        out.requires_grad = True
         self._nodes.append((out, backward_fn))
 
 
@@ -84,19 +80,15 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._tracked
-
-
 def _finish(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = _active_tape()
-    if tape is not None and any(_needs_grad(t) for t in inputs):
+    if tape is not None and any(t.requires_grad for t in inputs):
         tape.record(out, backward_fn)
     return out
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if _needs_grad(t):
+    if t.requires_grad:
         t.accumulate_grad(g)
 
 
@@ -140,10 +132,10 @@ def matmul(a: Tensor, b: Tensor, *, ta: bool = False, tb: bool = False) -> Tenso
     out = Tensor(av @ bv)
 
     def bw(g: np.ndarray) -> None:
-        if _needs_grad(a):
+        if a.requires_grad:
             da = g @ bv.T
             _accum(a, da.T if ta else da)
-        if _needs_grad(b):
+        if b.requires_grad:
             db = av.T @ g
             _accum(b, db.T if tb else db)
 
@@ -167,9 +159,9 @@ def matmul_consistent(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.einsum("ik,kt->it", a.data, b.data, optimize=False))
 
     def bw(g: np.ndarray) -> None:
-        if _needs_grad(a):
+        if a.requires_grad:
             _accum(a, g @ b.data.T)
-        if _needs_grad(b):
+        if b.requires_grad:
             _accum(b, a.data.T @ g)
 
     return _finish(out, (a, b), bw)
@@ -291,7 +283,7 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
     out = Tensor(table.data[ids])
 
     def bw(g: np.ndarray) -> None:
-        if _needs_grad(table):
+        if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, ids, g)
@@ -353,13 +345,13 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
     return _finish(out, (v,), bw)
 
 
-def binary_cross_entropy(yhat: Tensor, target) -> Tensor:
+def binary_cross_entropy(yhat: Tensor, target: np.ndarray) -> Tensor:
     """Summed binary cross-entropy over all labels (no mean reduction).
 
     Predictions are clamped into [PROB_EPS, 1 - PROB_EPS]; the clamp has zero
     derivative outside that band.
     """
-    y = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
+    y = np.asarray(target, dtype=np.float64)
     if yhat.data.shape != y.shape:
         raise ValueError(f"bce shape mismatch: {yhat.data.shape} vs {y.shape}")
     yc = np.clip(yhat.data, PROB_EPS, 1.0 - PROB_EPS)

@@ -11,7 +11,8 @@ vocabulary, manifest, checkpoint metadata) is written by ``write_json``,
 digested by ``json_sha256``, read by ``read_json`` and ``check``ed against
 a spec that maps each key it must hold to a type: a class, a union,
 ``Integer``, ``FiniteNumber``, ``list[T]``, ``dict[str, T]`` or, for a
-format version, ``Literal[v]``. ``read_jsonl`` checks each record the same
+format version, ``Literal[v]``. Every line-delimited record file is
+written by ``write_jsonl``, and ``read_jsonl`` checks each record the same
 way. Each artefact states its spec once, beside its reader.
 """
 
@@ -111,6 +112,14 @@ def read_json(path):
             raise DatasetError(f"{path}: not a JSON file: {exc}") from None
 
 
+def write_jsonl(records, path) -> None:
+    """One ``json.dumps`` object per line, in iteration order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec))
+            fh.write("\n")
+
+
 def read_jsonl(path, error: type[ValueError], required: dict):
     """Yield the JSON object on each nonblank line of ``path``.
 
@@ -149,10 +158,7 @@ def load_notes(path) -> dict[str, str]:
 
 
 def save_notes(notes: dict[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for aid, text in notes.items():
-            fh.write(json.dumps({"admission_id": aid, "text": text}))
-            fh.write("\n")
+    write_jsonl(({"admission_id": aid, "text": text} for aid, text in notes.items()), path)
 
 
 def load_labels(path) -> dict[str, list[str]]:
@@ -168,10 +174,8 @@ def load_labels(path) -> dict[str, list[str]]:
 
 
 def save_labels(labels: dict[str, list[str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for aid, names in labels.items():
-            fh.write(json.dumps({"admission_id": aid, "labels": list(names)}))
-            fh.write("\n")
+    write_jsonl(({"admission_id": aid, "labels": list(names)}
+                 for aid, names in labels.items()), path)
 
 
 def label_space(labels_by_id: dict[str, list[str]], ids) -> list[str]:

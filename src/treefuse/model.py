@@ -38,6 +38,9 @@ LEAF_MODES = ("attention", "average", "maxpool")
 
 CHECKPOINT_FORMAT_VERSION = 2
 
+# Validation precision is reported at k = min(PRECISION_K, n_labels).
+PRECISION_K = 5
+
 
 @dataclass
 class ModelDims:
@@ -49,6 +52,14 @@ class ModelDims:
     d_t: int = 128
     d_l: int = 30
 
+    def __post_init__(self):
+        self.leaf_counts = tuple(self.leaf_counts)
+        for name in ("vocab_size", "n_labels", "d_e", "d_lstm", "d_t", "d_l"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if any(c <= 0 for c in self.leaf_counts):
+            raise ValueError("every tree needs at least one leaf")
+
     @property
     def d_h(self) -> int:
         return 2 * self.d_lstm
@@ -56,13 +67,6 @@ class ModelDims:
     @property
     def n_trees(self) -> int:
         return len(self.leaf_counts)
-
-    def validate(self) -> None:
-        for name in ("vocab_size", "n_labels", "d_e", "d_lstm", "d_t", "d_l"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if any(c <= 0 for c in self.leaf_counts):
-            raise ValueError("every tree needs at least one leaf")
 
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
@@ -134,7 +138,6 @@ def init_params(dims: ModelDims, rng) -> ModelParams:
     """Fresh parameters: uniform(-0.1, 0.1) embeddings and tree keys,
     Glorot-bounded weight matrices, zero biases with the LSTM forget gate
     nudged to +1."""
-    dims.validate()
     d = dims.d_lstm
     tensors = {}
     for name, shape in param_shapes(dims).items():
@@ -264,7 +267,7 @@ def document_loss(params: ModelParams, token_ids, assignment, target,
                   mode: str) -> tuple[Tensor, Tensor]:
     """(summed binary cross-entropy, per-label probabilities) of one document."""
     yhat = forward(params, token_ids, assignment, mode)
-    loss = ad.binary_cross_entropy(yhat, Tensor(np.asarray(target, dtype=np.float64)))
+    loss = ad.binary_cross_entropy(yhat, target)
     return loss, yhat
 
 
@@ -354,7 +357,6 @@ class TrainSettings:
     fusion_mode: str = "attention"
     learning_rate: float = 1e-3
     clip_norm: float = 5.0
-    metric_k: int = 5
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("learning_rate", 0.0), ("clip_norm", 0.0)):
@@ -378,7 +380,10 @@ LOG_COLUMNS = (
 class TrainResult:
     log_rows: list[dict]
     best_epoch: int
-    best_val_micro_f1: float
+
+    @property
+    def best_val_micro_f1(self) -> float:
+        return self.log_rows[self.best_epoch]["val_micro_f1"]
 
     def log_csv(self) -> str:
         buf = io.StringIO()
@@ -414,11 +419,17 @@ def train_model(
     if len(val_docs) == 0:
         raise ValueError("empty validation split: best-epoch selection "
                          "needs at least one validation document")
+    for split, docs, assignments, targets in (
+        ("train", train_docs, train_assignments, train_targets),
+        ("validation", val_docs, val_assignments, val_targets),
+    ):
+        n_assign = len(docs) if assignments is None else len(assignments)
+        if not len(docs) == n_assign == len(targets):
+            raise ValueError(f"{split} split: {len(docs)} documents, {n_assign} "
+                             f"assignments, {len(targets)} target rows")
     train_targets = np.asarray(train_targets, dtype=np.float64)
     val_targets = np.asarray(val_targets, dtype=np.float64)
-    if not 1 <= settings.metric_k <= train_targets.shape[1]:
-        raise ValueError(f"metric_k={settings.metric_k} is outside "
-                         f"[1, {train_targets.shape[1]}] labels")
+    k = min(PRECISION_K, train_targets.shape[1])
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
     tensors = params.all()
@@ -462,9 +473,7 @@ def train_model(
         val_probs = predict_matrix(
             params, val_docs, val_assignments, settings.fusion_mode
         )
-        val_metrics = compute_all(
-            PredictionBatch(val_probs, val_targets), k=settings.metric_k
-        )
+        val_metrics = compute_all(PredictionBatch(val_probs, val_targets), k=k)
         row = {
             "epoch": epoch,
             "train_loss": loss_total / n,
@@ -473,7 +482,7 @@ def train_model(
             "val_micro_auc": val_metrics["micro_auc"],
             "val_macro_f1": val_metrics["macro_f1"],
             "val_micro_f1": val_metrics["micro_f1"],
-            "val_precision_at_k": val_metrics[f"precision_at_{settings.metric_k}"],
+            "val_precision_at_k": val_metrics[f"precision_at_{k}"],
             "train_micro_f1": train_f1,
         }
         log_rows.append(row)
@@ -484,8 +493,7 @@ def train_model(
             best_state = params.snapshot()
 
     params.restore(best_state)
-    return TrainResult(log_rows=log_rows, best_epoch=best_epoch,
-                       best_val_micro_f1=best_val)
+    return TrainResult(log_rows=log_rows, best_epoch=best_epoch)
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
@@ -514,10 +522,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{path}: entry 'meta_json' is not JSON: {exc}") from None
         check(meta, _META_SPEC, f"{path} meta_json")
         check(meta["dims"], _DIMS_SPEC, f"{path} dims")
-        dims = ModelDims(**{key: meta["dims"][key] for key in _DIMS_SPEC})
-        dims.leaf_counts = tuple(dims.leaf_counts)
         try:
-            dims.validate()
+            dims = ModelDims(**{key: meta["dims"][key] for key in _DIMS_SPEC})
         except ValueError as exc:
             raise ValueError(f"{path}: invalid dims: {exc}") from None
         tensors = {}

@@ -14,14 +14,13 @@ byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import save_labels, save_notes
+from .dataset import save_labels, save_notes, write_jsonl
 
 CATEGORY_CYCLE = ("lab_abnormal", "drug", "organism", "specimen", "antibiotic")
 
@@ -51,9 +50,6 @@ class SyntheticSpec:
             )
         if not self.strengths:
             self.strengths = tuple(1.0 for _ in range(self.n_labels))
-        self.validate()
-
-    def validate(self) -> None:
         if self.n_docs <= 0 or self.n_labels <= 0:
             raise ValueError("n_docs and n_labels must be positive")
         if len(self.sources) != self.n_labels:
@@ -162,7 +158,6 @@ def _plant_bigram(tokens: list[str], used: set[int], pair, rng) -> None:
 
 def generate_dataset(spec: SyntheticSpec, seed: int, out_dir) -> GeneratedPaths:
     """Write the five dataset files for (spec, seed) into out_dir."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -264,13 +259,7 @@ def generate_dataset(spec: SyntheticSpec, seed: int, out_dir) -> GeneratedPaths:
     )
     save_notes(notes, paths.notes)
     save_labels(labels, paths.labels)
-    for rows, path in (
-        (ts_rows, paths.timeseries),
-        (event_rows, paths.events),
-        (singleton_rows, paths.singletons),
-    ):
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row))
-                fh.write("\n")
+    write_jsonl(ts_rows, paths.timeseries)
+    write_jsonl(event_rows, paths.events)
+    write_jsonl(singleton_rows, paths.singletons)
     return paths

@@ -343,21 +343,21 @@ class TestBCE:
             n = int(RNG.integers(1, 8))
             yhat = RNG.uniform(0.05, 0.95, size=n)
             y = RNG.integers(0, 2, size=n).astype(np.float64)
-            run_fd_check(lambda p: ad.binary_cross_entropy(p, Tensor(y)), [yhat])
+            run_fd_check(lambda p: ad.binary_cross_entropy(p, y), [yhat])
 
     def test_ln2_example(self):
-        loss = ad.binary_cross_entropy(Tensor(np.array([0.5])), Tensor(np.array([1.0])))
+        loss = ad.binary_cross_entropy(Tensor(np.array([0.5])), np.array([1.0]))
         assert float(loss.data) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_sums_over_labels(self):
         yhat = Tensor(np.array([0.5, 0.5]))
-        y = Tensor(np.array([1.0, 0.0]))
+        y = np.array([1.0, 0.0])
         loss = ad.binary_cross_entropy(yhat, y)
         assert float(loss.data) == pytest.approx(2.0 * np.log(2.0), rel=1e-12)
 
     def test_clamped_endpoints_finite(self):
         yhat = Tensor(np.array([0.0, 1.0]), requires_grad=True)
-        y = Tensor(np.array([1.0, 0.0]))
+        y = np.array([1.0, 0.0])
         with Tape() as tape:
             loss = ad.binary_cross_entropy(yhat, y)
         assert np.isfinite(float(loss.data))

@@ -4,13 +4,14 @@ training loop's contracts."""
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from treefuse import model as tm
 from treefuse.autodiff import Tape, Tensor, backward
-from treefuse.metrics import PredictionBatch, micro_f1
+from treefuse.metrics import PredictionBatch, micro_f1, precision_at_k
 from treefuse.model import (
     ModelDims,
     TrainSettings,
@@ -47,6 +48,16 @@ def toy_doc(n=5, dims=TOY, rng=RNG):
 
 def toy_assignment(dims=TOY, rng=RNG):
     return np.array([int(rng.integers(0, c)) for c in dims.leaf_counts])
+
+
+class TestDims:
+    @pytest.mark.parametrize("name, value, message", [
+        ("vocab_size", 0, "vocab_size"), ("d_lstm", -1, "d_lstm"),
+        ("leaf_counts", (2, 0), "at least one leaf"),
+    ])
+    def test_bad_dims_rejected_at_construction(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            ModelDims(**{**asdict(TOY), name: value})
 
 
 class TestEncode:
@@ -306,8 +317,7 @@ class TestTraining:
     def test_memorizes_single_example(self):
         params = toy_params(seed=7)
         docs, assignments, targets = self.small_data(1)
-        settings = TrainSettings(epochs=200, seed=1, learning_rate=0.02,
-                                 metric_k=2)
+        settings = TrainSettings(epochs=200, seed=1, learning_rate=0.02)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         assert result.log_rows[-1]["train_loss"] < 1e-2
@@ -316,7 +326,7 @@ class TestTraining:
     def test_logs_pre_clip_grad_norm(self, clip_norm):
         params = toy_params(seed=9)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=1, seed=3, clip_norm=clip_norm, metric_k=2)
+        settings = TrainSettings(epochs=1, seed=3, clip_norm=clip_norm)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         norm = result.log_rows[0]["train_grad_norm"]
@@ -328,7 +338,7 @@ class TestTraining:
         # is undefined; training still runs and selects on micro-F1
         params = toy_params(seed=16)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=2, seed=7, metric_k=2)
+        settings = TrainSettings(epochs=2, seed=7)
         result = train_model(params, docs[:3], assignments[:3], targets[:3],
                              docs[3:], assignments[3:], targets[3:], settings)
         assert len(result.log_rows) == 2
@@ -341,7 +351,7 @@ class TestTraining:
         params = toy_params(seed=8)
         before = params.snapshot()
         docs, assignments, targets = self.small_data(3)
-        settings = TrainSettings(epochs=3, seed=2, learning_rate=0.0, metric_k=2)
+        settings = TrainSettings(epochs=3, seed=2, learning_rate=0.0)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         after = params.snapshot()
@@ -355,7 +365,7 @@ class TestTraining:
         outs = []
         for _ in range(2):
             params = toy_params(seed=11)
-            settings = TrainSettings(epochs=3, seed=4, metric_k=2)
+            settings = TrainSettings(epochs=3, seed=4)
             result = train_model(params, docs, assignments, targets,
                                  docs, assignments, targets, settings)
             outs.append((result.log_csv(), params.snapshot()))
@@ -367,7 +377,7 @@ class TestTraining:
         params = toy_params(seed=12)
         params.out_bias.data[...] = np.nan
         docs, assignments, targets = self.small_data(2)
-        settings = TrainSettings(epochs=1, seed=0, metric_k=2)
+        settings = TrainSettings(epochs=1, seed=0)
         with pytest.raises(RuntimeError, match="non-finite"):
             train_model(params, docs, assignments, targets,
                         docs, assignments, targets, settings)
@@ -375,7 +385,7 @@ class TestTraining:
     def test_best_checkpoint_restored(self):
         params = toy_params(seed=13)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=5, seed=3, learning_rate=0.02, metric_k=2)
+        settings = TrainSettings(epochs=5, seed=3, learning_rate=0.02)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         probs = predict_matrix(params, docs, assignments, "attention")
@@ -401,7 +411,7 @@ class TestTraining:
         monkeypatch.setattr(tm, "predict_matrix", counted_predict_matrix)
         params = toy_params(seed=14)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=2, seed=5, metric_k=2)
+        settings = TrainSettings(epochs=2, seed=5)
         val_docs, val_assignments = docs[3:], assignments[3:]
         train_model(params, docs[:3], assignments[:3], targets[:3],
                     val_docs, val_assignments, targets[3:], settings)
@@ -422,7 +432,7 @@ class TestTraining:
         monkeypatch.setattr(tm, "predict_matrix", spy)
         params = toy_params(seed=19)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=2, seed=5, metric_k=2)
+        settings = TrainSettings(epochs=2, seed=5)
         train_model(params, docs[:3], assignments[:3], targets[:3],
                     docs[3:], assignments[3:], targets[3:], settings)
         assert len(grads_seen) == 2
@@ -434,7 +444,7 @@ class TestTraining:
         # probabilities are exactly those of a scoring pass
         params = toy_params(seed=17)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=1, seed=8, learning_rate=0.0, metric_k=2)
+        settings = TrainSettings(epochs=1, seed=8, learning_rate=0.0)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         probs = predict_matrix(params, docs, assignments, "attention")
@@ -453,24 +463,45 @@ class TestTraining:
         with pytest.raises(ValueError, match=name):
             TrainSettings(**{"epochs": 1, "seed": 0, name: value})
 
-    @pytest.mark.parametrize("metric_k", [0, 4, 5])
-    def test_bad_metric_k_rejected_before_training(self, metric_k):
+    @pytest.mark.parametrize("split, part, rows", [
+        ("train", "targets", 2),      # fewer train targets
+        ("train", "assignments", 2),  # fewer train assignments
+        ("train", "targets", 4),      # an extra train target
+        ("validation", "docs", 2),    # fewer validation documents
+    ])
+    def test_split_length_mismatch_rejected_before_training(self, split, part, rows):
         params = toy_params(seed=18)
         before = params.snapshot()
-        docs, assignments, targets = self.small_data(3)
-        settings = TrainSettings(epochs=3, seed=2, metric_k=metric_k)
-        with pytest.raises(ValueError, match="metric_k"):
-            train_model(params, docs, assignments, targets,
-                        docs, assignments, targets, settings)
+        docs, assignments, targets = self.small_data(4)
+        data = {"docs": docs, "assignments": assignments, "targets": targets}
+        splits = {name: {key: value[:3] for key, value in data.items()}
+                  for name in ("train", "validation")}
+        splits[split][part] = data[part][:rows]
+        args = [splits[name][key] for name in ("train", "validation")
+                for key in ("docs", "assignments", "targets")]
+        with pytest.raises(ValueError, match=f"{split} split: .* documents, "
+                                             ".* assignments, .* target rows"):
+            train_model(params, *args, TrainSettings(epochs=1, seed=2))
         after = params.snapshot()
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
+
+    def test_default_precision_k_fits_a_small_label_space(self):
+        # TOY has 3 labels, fewer than the default k of 5
+        params = toy_params(seed=20)
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=1, seed=2)
+        result = train_model(params, docs[:3], assignments[:3], targets[:3],
+                             docs, assignments, targets, settings)
+        probs = predict_matrix(params, docs, assignments, "attention")
+        expected = precision_at_k(PredictionBatch(probs, targets), 3)
+        assert result.log_rows[0]["val_precision_at_k"] == expected
 
     def test_empty_validation_split_rejected_before_training(self):
         params = toy_params(seed=18)
         before = params.snapshot()
         docs, assignments, targets = self.small_data(1)
-        settings = TrainSettings(epochs=1, seed=2, metric_k=2)
+        settings = TrainSettings(epochs=1, seed=2)
         with pytest.raises(ValueError, match="empty validation split"):
             train_model(params, docs, assignments, targets,
                         [], [], np.zeros((0, TOY.n_labels)), settings)
@@ -482,7 +513,7 @@ class TestTraining:
     def test_log_csv_shape(self):
         params = toy_params(seed=15)
         docs, assignments, targets = self.small_data(3)
-        settings = TrainSettings(epochs=2, seed=6, metric_k=2)
+        settings = TrainSettings(epochs=2, seed=6)
         result = train_model(params, docs, assignments, targets,
                              docs, assignments, targets, settings)
         lines = result.log_csv().strip().splitlines()

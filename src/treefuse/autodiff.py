@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation on a tape.
 
-Every op computes its forward result eagerly with numpy and, while a Tape
-is active, records a backward closure. ``backward`` replays the tape in
-reverse, accumulating gradients with ``+=`` so shared inputs sum their
-contributions. Tensors built outside a tape (or from ops on untracked
-tensors) run inference-only and carry no gradient machinery.
+Every op computes its forward result eagerly with numpy. The tape is the
+only tracking rule: an op run inside ``with Tape()`` records a backward
+closure, and that closure gives every input its gradient; an op run outside
+a tape records nothing. ``backward`` replays the tape in reverse,
+accumulating gradients with ``+=`` so shared inputs sum their contributions.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ _TAPE_STACK: list["Tape"] = []
 class Tensor:
     """Row-major float64 array of rank <= 3, optionally carrying a gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ValueError(f"tensor rank {arr.ndim} unsupported (max 3)")
         self.data = arr
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
     @property
@@ -51,7 +50,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Tape:
@@ -68,11 +67,7 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self, "tape stack corrupted"
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def record(self, out: Tensor, backward_fn) -> None:
-        out.requires_grad = True
         self._nodes.append((out, backward_fn))
 
 
@@ -80,16 +75,11 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _finish(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _finish(out: Tensor, backward_fn) -> Tensor:
     tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is not None:
         tape.record(out, backward_fn)
     return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.accumulate_grad(g)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -132,14 +122,12 @@ def matmul(a: Tensor, b: Tensor, *, ta: bool = False, tb: bool = False) -> Tenso
     out = Tensor(av @ bv)
 
     def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            da = g @ bv.T
-            _accum(a, da.T if ta else da)
-        if b.requires_grad:
-            db = av.T @ g
-            _accum(b, db.T if tb else db)
+        da = g @ bv.T
+        a.accumulate_grad(da.T if ta else da)
+        db = av.T @ g
+        b.accumulate_grad(db.T if tb else db)
 
-    return _finish(out, (a, b), bw)
+    return _finish(out, bw)
 
 
 def matmul_consistent(a: Tensor, b: Tensor) -> Tensor:
@@ -159,12 +147,10 @@ def matmul_consistent(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.einsum("ik,kt->it", a.data, b.data, optimize=False))
 
     def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        a.accumulate_grad(g @ b.data.T)
+        b.accumulate_grad(a.data.T @ g)
 
-    return _finish(out, (a, b), bw)
+    return _finish(out, bw)
 
 
 def transpose2d(x: Tensor) -> Tensor:
@@ -173,9 +159,9 @@ def transpose2d(x: Tensor) -> Tensor:
     out = Tensor(x.data.T.copy())
 
     def bw(g: np.ndarray) -> None:
-        _accum(x, g.T)
+        x.accumulate_grad(g.T)
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -184,10 +170,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, g)
+        a.accumulate_grad(g)
+        b.accumulate_grad(g)
 
-    return _finish(out, (a, b), bw)
+    return _finish(out, bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -196,10 +182,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bw(g: np.ndarray) -> None:
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        a.accumulate_grad(g * b.data)
+        b.accumulate_grad(g * a.data)
 
-    return _finish(out, (a, b), bw)
+    return _finish(out, bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -207,9 +193,9 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(x, g * y * (1.0 - y))
+        x.accumulate_grad(g * y * (1.0 - y))
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -217,9 +203,9 @@ def tanh(x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bw(g: np.ndarray) -> None:
-        _accum(x, g * (1.0 - y * y))
+        x.accumulate_grad(g * (1.0 - y * y))
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -232,9 +218,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         inner = np.sum(g * y, axis=axis, keepdims=True)
-        _accum(x, y * (g - inner))
+        x.accumulate_grad(y * (g - inner))
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -248,9 +234,9 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accum(p, g[tuple(idx)])
+            p.accumulate_grad(g[tuple(idx)])
 
-    return _finish(out, tuple(parts), bw)
+    return _finish(out, bw)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -264,9 +250,9 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def bw(g: np.ndarray) -> None:
         full = np.zeros_like(x.data)
         full[tuple(idx)] = g
-        _accum(x, full)
+        x.accumulate_grad(full)
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def gather(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -283,12 +269,11 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
     out = Tensor(table.data[ids])
 
     def bw(g: np.ndarray) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids, g)
 
-    return _finish(out, (table,), bw)
+    return _finish(out, bw)
 
 
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
@@ -296,11 +281,11 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
+            x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            x.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def mean_cols(x: Tensor) -> Tensor:
@@ -311,9 +296,9 @@ def mean_cols(x: Tensor) -> Tensor:
     out = Tensor(np.mean(x.data, axis=1))
 
     def bw(g: np.ndarray) -> None:
-        _accum(x, np.repeat(g[:, None] / n, n, axis=1))
+        x.accumulate_grad(np.repeat(g[:, None] / n, n, axis=1))
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def maxpool_cols(x: Tensor) -> Tensor:
@@ -328,9 +313,9 @@ def maxpool_cols(x: Tensor) -> Tensor:
     def bw(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
         gx[rows, amax] = g
-        _accum(x, gx)
+        x.accumulate_grad(gx)
 
-    return _finish(out, (x,), bw)
+    return _finish(out, bw)
 
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
@@ -340,9 +325,9 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
     out = Tensor(np.tile(v.data, (n, 1)))
 
     def bw(g: np.ndarray) -> None:
-        _accum(v, g.sum(axis=0))
+        v.accumulate_grad(g.sum(axis=0))
 
-    return _finish(out, (v,), bw)
+    return _finish(out, bw)
 
 
 def binary_cross_entropy(yhat: Tensor, target: np.ndarray) -> Tensor:
@@ -361,9 +346,9 @@ def binary_cross_entropy(yhat: Tensor, target: np.ndarray) -> Tensor:
     def bw(g: np.ndarray) -> None:
         inside = (yhat.data >= PROB_EPS) & (yhat.data <= 1.0 - PROB_EPS)
         d = np.where(inside, (yc - y) / (yc * (1.0 - yc)), 0.0)
-        _accum(yhat, g * d)
+        yhat.accumulate_grad(g * d)
 
-    return _finish(out, (yhat,), bw)
+    return _finish(out, bw)
 
 
 def _lstm_step(z, c, c_out, tanh_c_out, h_out) -> np.ndarray:
@@ -465,14 +450,14 @@ def lstm_sequence(
             dc_next = dc * gf[k]
             dh_next = whT @ dpre[k]
 
-        _accum(w_hidden, dpre.T @ hs[:-1])
-        _accum(bias, dpre.sum(axis=0))
+        w_hidden.accumulate_grad(dpre.T @ hs[:-1])
+        bias.accumulate_grad(dpre.sum(axis=0))
         if reverse:
             dpre = dpre[::-1]
-        _accum(w_input, dpre.T @ E)
-        _accum(emb, dpre @ wx)
+        w_input.accumulate_grad(dpre.T @ E)
+        emb.accumulate_grad(dpre @ wx)
 
-    return _finish(out, (emb, w_input, w_hidden, bias), bw)
+    return _finish(out, bw)
 
 
 def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:

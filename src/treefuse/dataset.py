@@ -10,7 +10,7 @@ Every JSON artefact a stage hands to a later one (schema, ensemble,
 vocabulary, manifest, checkpoint metadata) is written by ``write_json``,
 digested by ``json_sha256``, read by ``read_json`` and ``check``ed against
 a spec that maps each key it must hold to a type: a class, a union,
-``Integer``, ``FiniteNumber``, ``list[T]``, ``dict[str, T]`` or, for a
+``Integer``, ``FiniteNumber``, ``Id``, ``list[T]``, ``dict[str, T]`` or, for a
 format version, ``Literal[v]``. Every line-delimited record file is
 written by ``write_jsonl``, and ``read_jsonl`` checks each record the same
 way. Each artefact states its spec once, beside its reader.
@@ -57,6 +57,14 @@ class Integer(metaclass=_SpecType):
     @staticmethod
     def accepts(value) -> bool:
         return value.__class__ is int
+
+
+class Id(metaclass=_SpecType):
+    """Spec type of a record id: a string or an integer (not a bool)."""
+
+    @staticmethod
+    def accepts(value) -> bool:
+        return value.__class__ is str or value.__class__ is int
 
 
 def _is(value, kind) -> bool:
@@ -149,7 +157,7 @@ def read_jsonl(path, error: type[ValueError], required: dict):
 def load_notes(path) -> dict[str, str]:
     """admission_id -> document text, in file order."""
     notes: dict[str, str] = {}
-    for rec in read_jsonl(path, DatasetError, {"admission_id": object, "text": str}):
+    for rec in read_jsonl(path, DatasetError, {"admission_id": Id, "text": str}):
         aid = str(rec["admission_id"])
         if aid in notes:
             raise DatasetError(f"duplicate admission_id in notes: {aid}")
@@ -165,7 +173,7 @@ def load_labels(path) -> dict[str, list[str]]:
     """admission_id -> list of gold label names."""
     labels: dict[str, list[str]] = {}
     for rec in read_jsonl(path, DatasetError,
-                          {"admission_id": object, "labels": list[str]}):
+                          {"admission_id": Id, "labels": list[str]}):
         aid = str(rec["admission_id"])
         if aid in labels:
             raise DatasetError(f"duplicate admission_id in labels: {aid}")

@@ -2,14 +2,15 @@
 and precision of the top-k predicted labels.
 
 Conventions a reimplementation must match: F1 with a zero denominator is 0;
-AUC uses the rank formulation with half credit for ties; a label whose gold
-column is single-class has no AUC and is skipped by the macro average
-(`compute_all` reports an AUC undefined for the whole batch as NaN);
-top-k ties are broken toward the lower label index.
+AUC uses the rank formulation with half credit for ties; an AUC over
+single-class gold is undefined and reads NaN, and the macro average skips
+such labels (NaN when every label is undefined); top-k ties are broken
+toward the lower label index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,9 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     return ((2 * ends - counts + 1) / 2.0)[group]
 
 
-def auc(scores, labels) -> float | None:
+def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative, ties worth
-    half. Returns None when the labels are single-class; refuses
-    non-finite scores."""
+    half. NaN when the labels are single-class; refuses non-finite scores."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if not np.all(np.isfinite(scores)):
@@ -81,7 +81,7 @@ def auc(scores, labels) -> float | None:
     n_pos = int(pos_mask.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
-        return None
+        return math.nan
     ranks = _average_ranks(scores)
     rank_sum = float(ranks[pos_mask].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -89,21 +89,15 @@ def auc(scores, labels) -> float | None:
 
 def micro_auc(batch: PredictionBatch) -> float:
     """One AUC over all cells flattened into a single ranking."""
-    value = auc(batch.probs.ravel(), batch.gold.ravel())
-    if value is None:
-        raise ValueError("pooled gold matrix is single-class; AUC undefined")
-    return value
+    return auc(batch.probs.ravel(), batch.gold.ravel())
 
 
 def macro_auc(batch: PredictionBatch) -> float:
-    """Mean per-label AUC over the labels where it is defined."""
-    values = [
-        auc(batch.probs[:, lbl], batch.gold[:, lbl]) for lbl in range(batch.n_labels)
-    ]
-    defined = [v for v in values if v is not None]
-    if not defined:
-        raise ValueError("no label has both classes; macro AUC undefined")
-    return float(np.mean(defined))
+    """Mean per-label AUC over the labels where it is defined; NaN when
+    no label is."""
+    values = [auc(batch.probs[:, lbl], batch.gold[:, lbl]) for lbl in range(batch.n_labels)]
+    defined = [v for v in values if not math.isnan(v)]
+    return float(np.mean(defined)) if defined else math.nan
 
 
 def precision_at_k(batch: PredictionBatch, k: int) -> float:
@@ -120,19 +114,11 @@ def precision_at_k(batch: PredictionBatch, k: int) -> float:
     return float(np.mean(np.sum(hits, axis=1) / k))
 
 
-def _nan_if_undefined(metric, batch: PredictionBatch) -> float:
-    try:
-        return metric(batch)
-    except ValueError:
-        return float("nan")
-
-
 def compute_all(batch: PredictionBatch, k: int = 5) -> dict[str, float]:
-    """The full report: AUCs, F1s, and P@k under the standard conventions.
-    An AUC that is undefined for this gold matrix is reported as NaN."""
+    """The full report: AUCs, F1s, and P@k under the standard conventions."""
     return {
-        "macro_auc": _nan_if_undefined(macro_auc, batch),
-        "micro_auc": _nan_if_undefined(micro_auc, batch),
+        "macro_auc": macro_auc(batch),
+        "micro_auc": micro_auc(batch),
         "macro_f1": macro_f1(batch),
         "micro_f1": micro_f1(batch),
         f"precision_at_{k}": precision_at_k(batch, k),

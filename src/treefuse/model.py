@@ -149,7 +149,7 @@ def init_params(dims: ModelDims, rng) -> ModelParams:
                 data[d : 2 * d] = 1.0  # forget gate: remember by default
         else:
             data = _glorot(rng, *shape)
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = Tensor(data)
     return ModelParams(dims, tensors)
 
 
@@ -536,5 +536,5 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 )
             if not np.isfinite(array).all():
                 raise ValueError(f"{path}: array {name!r} has a non-finite value")
-            tensors[name] = Tensor(array.copy(), requires_grad=True)
+            tensors[name] = Tensor(array.copy())
     return ModelParams(dims, tensors), meta

@@ -23,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dataset import FiniteNumber, check, json_sha256, read_json, read_jsonl, write_json
+from .dataset import FiniteNumber, Id, check, json_sha256, read_json, read_jsonl, write_json
 
 SCHEMA_FORMAT_VERSION = 2
 
@@ -45,8 +45,8 @@ class StructuredRecordSet:
     """All structured records belonging to one admission."""
 
     admission_id: str
-    # class_id -> list of (timestamp, value)
-    time_series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    # class_id -> the series' values in file order; no stage reads timestamps
+    time_series: dict[str, list[float]] = field(default_factory=dict)
     # (category, item_id) pairs; repeats carry no extra information
     multivalued: list[tuple[str, str]] = field(default_factory=list)
     # field name -> numeric or categorical value, None for absent; duplicate
@@ -161,11 +161,11 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
     # length -> (offset into flat, row, column triple) of each known series
     groups: dict[int, list[tuple]] = {}
     for r, rs in enumerate(record_sets):
-        for class_id, points in rs.time_series.items():
+        for class_id, vals in rs.time_series.items():
             cols = ts_cols.get(class_id)
-            if cols is not None and points:
-                groups.setdefault(len(points), []).append((len(flat), r, cols))
-            flat.extend(v for _, v in points)
+            if cols is not None and vals:
+                groups.setdefault(len(vals), []).append((len(flat), r, cols))
+            flat.extend(vals)
         for category, item_id in rs.multivalued:
             col = pair_cols.get(f"{category}:{item_id}")
             if col is not None:
@@ -191,8 +191,8 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
     flat = np.array(flat, dtype=np.float64)
     if not np.isfinite(flat).all():
         for rs in record_sets:
-            for class_id, points in rs.time_series.items():
-                if not np.isfinite([v for _, v in points]).all():
+            for class_id, vals in rs.time_series.items():
+                if not np.isfinite(vals).all():
                     raise RecordError(f"admission {rs.admission_id}: non-finite value "
                                       f"in time series (class {class_id})")
 
@@ -235,7 +235,9 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
     """Group the three record files by admission.
 
     Admissions are ordered by first appearance scanning the time-series,
-    event, and singleton files in that order.
+    event, and singleton files in that order. Every id (admission, class,
+    item, field) is a string or an integer, read as its string; timestamps
+    must be finite but are not kept.
     """
     by_id: dict[str, StructuredRecordSet] = {}
 
@@ -246,14 +248,12 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
         return by_id[aid]
 
     for rec in read_jsonl(timeseries_path, RecordError, {
-            "admission_id": object, "class_id": object,
+            "admission_id": Id, "class_id": Id,
             "timestamp": FiniteNumber, "value": FiniteNumber}):
         rs = get(rec["admission_id"])
-        rs.time_series.setdefault(str(rec["class_id"]), []).append(
-            (float(rec["timestamp"]), float(rec["value"]))
-        )
-    for rec in read_jsonl(events_path, RecordError, dict.fromkeys(
-            ("admission_id", "category", "item_id"), object)):
+        rs.time_series.setdefault(str(rec["class_id"]), []).append(float(rec["value"]))
+    for rec in read_jsonl(events_path, RecordError, {
+            "admission_id": Id, "category": object, "item_id": Id}):
         category = str(rec["category"])
         if category not in MULTIVALUED_CATEGORIES:
             raise RecordError(
@@ -261,7 +261,7 @@ def load_record_sets(timeseries_path, events_path, singletons_path) -> list[Stru
             )
         get(rec["admission_id"]).multivalued.append((category, str(rec["item_id"])))
     for rec in read_jsonl(singletons_path, RecordError, {
-            "admission_id": object, "field": object,
+            "admission_id": Id, "field": Id,
             "value": FiniteNumber | str | bool | None}):
         get(rec["admission_id"]).singletons[str(rec["field"])] = rec["value"]
     return list(by_id.values())

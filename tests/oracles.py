@@ -240,8 +240,8 @@ def featurize_row(rs, schema) -> np.ndarray:
     """
     row = np.full(len(schema.columns), np.nan)
     index = {c.name: i for i, c in enumerate(schema.columns)}
-    for class_id, points in rs.time_series.items():
-        aggregates = aggregate_time_series(v for _, v in points)
+    for class_id, vals in rs.time_series.items():
+        aggregates = aggregate_time_series(vals)
         for kind, value in zip(("ts_mean", "ts_max", "ts_min"), aggregates):
             pos = index.get(f"{kind}:{class_id}")
             if pos is not None:

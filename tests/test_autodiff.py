@@ -34,7 +34,7 @@ def run_fd_check(build, arrays, h=FD_STEP):
     build receives one Tensor per input array and must return the scalar
     loss Tensor; arrays are mutated during differencing and restored.
     """
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tensors = [Tensor(a) for a in arrays]
     with Tape() as tape:
         loss = build(*tensors)
     backward(tape, loss)
@@ -119,7 +119,7 @@ class TestElementwise:
                          [RNG.normal(size=shape), RNG.normal(size=shape)])
 
     def test_add_accumulates_through_reuse(self):
-        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        x = Tensor(np.array([1.5, -2.0]))
         with Tape() as tape:
             loss = ad.reduce_sum(ad.add(x, x))
         backward(tape, loss)
@@ -253,7 +253,7 @@ class TestShapeOps:
             )
 
     def test_repeat_rows_grad_is_column_sum(self):
-        v = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        v = Tensor(np.array([1.0, 2.0]))
         with Tape() as tape:
             loss = ad.reduce_sum(ad.repeat_rows(v, 3))
         backward(tape, loss)
@@ -268,7 +268,7 @@ class TestGather:
             run_fd_check(lambda t: sum_all(ad.gather(t, idx)), [table])
 
     def test_repeated_rows_accumulate(self):
-        table = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+        table = Tensor(RNG.normal(size=(4, 2)))
         with Tape() as tape:
             loss = ad.reduce_sum(ad.gather(table, np.array([1, 1, 1])))
         backward(tape, loss)
@@ -322,7 +322,7 @@ class TestReductions:
             )
 
     def test_maxpool_value_and_grad(self):
-        x = Tensor(np.array([[1.0, 3.0, 2.0]]), requires_grad=True)
+        x = Tensor(np.array([[1.0, 3.0, 2.0]]))
         with Tape() as tape:
             loss = ad.reduce_sum(ad.maxpool_cols(x))
         backward(tape, loss)
@@ -330,7 +330,7 @@ class TestReductions:
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
     def test_maxpool_tie_goes_to_first_column(self):
-        x = Tensor(np.array([[5.0, 5.0]]), requires_grad=True)
+        x = Tensor(np.array([[5.0, 5.0]]))
         with Tape() as tape:
             loss = ad.reduce_sum(ad.maxpool_cols(x))
         backward(tape, loss)
@@ -356,7 +356,7 @@ class TestBCE:
         assert float(loss.data) == pytest.approx(2.0 * np.log(2.0), rel=1e-12)
 
     def test_clamped_endpoints_finite(self):
-        yhat = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        yhat = Tensor(np.array([0.0, 1.0]))
         y = np.array([1.0, 0.0])
         with Tape() as tape:
             loss = ad.binary_cross_entropy(yhat, y)
@@ -400,7 +400,7 @@ class TestLSTM:
         upstream = rng.normal(size=(n, d_hid))
         states, *grads = stepwise_lstm(emb, wx, wh, b, upstream, reverse=reverse)
 
-        tensors = [Tensor(a, requires_grad=True) for a in (emb, wx, wh, b)]
+        tensors = [Tensor(a) for a in (emb, wx, wh, b)]
         with Tape() as tape:
             out = ad.lstm_sequence(*tensors, reverse=reverse)
             loss = ad.reduce_sum(ad.mul(out, Tensor(upstream)))
@@ -485,21 +485,39 @@ class TestLSTM:
 
 class TestTapeMechanics:
     def test_backward_requires_scalar(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((2, 2)))
         with Tape() as tape:
             y = ad.sigmoid(x)
         with pytest.raises(ValueError):
             backward(tape, y)
 
     def test_no_tracking_outside_tape(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.ones(3))
         y = ad.sigmoid(x)
         assert y.data.shape == (3,)
 
+    def test_every_input_gets_its_gradient(self):
+        a = Tensor(np.array([2.0, -3.0]))
+        b = Tensor(np.array([5.0, 0.5]))
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(a, b))
+        backward(tape, loss)
+        np.testing.assert_array_equal(a.grad, b.data)
+        np.testing.assert_array_equal(b.grad, a.data)
+
+    def test_tape_is_the_boundary(self):
+        x = Tensor(np.array([0.5, -1.0]))
+        y = ad.sigmoid(x)
+        with Tape() as tape:
+            loss = ad.reduce_sum(y)
+        backward(tape, loss)
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        assert x.grad is None
+
     def test_replay_is_bit_identical(self):
         def once():
-            x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
-            w = Tensor(np.linspace(0.5, -0.5, 8).reshape(4, 2), requires_grad=True)
+            x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+            w = Tensor(np.linspace(0.5, -0.5, 8).reshape(4, 2))
             with Tape() as tape:
                 h = ad.tanh(ad.matmul(x, w))
                 loss = ad.reduce_sum(ad.mul(h, h))
@@ -513,7 +531,7 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(gw1, gw2)
 
     def test_chain_scale(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
+        x = Tensor(np.array([3.0]))
         two = Tensor(np.array([2.0]))
         with Tape() as tape:
             loss = ad.reduce_sum(ad.mul(two, x))
@@ -521,7 +539,7 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(x.grad, [2.0])
 
     def test_zero_grad(self):
-        x = Tensor(np.ones(2), requires_grad=True)
+        x = Tensor(np.ones(2))
         with Tape() as tape:
             loss = ad.reduce_sum(x)
         backward(tape, loss)
@@ -531,7 +549,7 @@ class TestTapeMechanics:
 
 class TestOptimizers:
     def test_adam_missing_grad_leaves_param_unchanged(self):
-        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([1.0, 2.0]))
         state = ad.AdamState([w], lr=1e-3)
         ad.adam_step(state)
         np.testing.assert_array_equal(w.data, [1.0, 2.0])
@@ -540,14 +558,14 @@ class TestOptimizers:
     def test_adam_first_step_magnitude(self):
         # With bias correction the first update is lr * sign(grad) for a
         # plain gradient (m_hat / (sqrt(v_hat) + eps) ~ sign).
-        w = Tensor(np.array([0.0]), requires_grad=True)
+        w = Tensor(np.array([0.0]))
         w.grad = np.array([7.0])
         state = ad.AdamState([w], lr=0.1)
         ad.adam_step(state)
         assert float(w.data[0]) == pytest.approx(-0.1, rel=1e-6)
 
     def test_adam_converges_on_quadratic(self):
-        w = Tensor(np.array([0.0]), requires_grad=True)
+        w = Tensor(np.array([0.0]))
         state = ad.AdamState([w], lr=0.1)
         for _ in range(100):
             w.grad = 2.0 * (w.data - 3.0)
@@ -556,20 +574,20 @@ class TestOptimizers:
         assert abs(float(w.data[0]) - 3.0) < 0.5
 
     def test_sgd_step(self):
-        w = Tensor(np.array([1.0]), requires_grad=True)
+        w = Tensor(np.array([1.0]))
         w.grad = np.array([0.25])
         ad.sgd_step([w], lr=0.5)
         np.testing.assert_array_equal(w.data, [0.875])
 
     def test_clip_noop_below_threshold(self):
-        w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        w = Tensor(np.array([3.0, 4.0]))
         w.grad = np.array([0.3, 0.4])
         norm = ad.clip_gradients(ad.AdamState([w], lr=1e-3), 5.0)
         assert norm == pytest.approx(0.5)
         np.testing.assert_array_equal(w.grad, [0.3, 0.4])
 
     def test_clip_rescales_to_threshold(self):
-        w = Tensor(np.array([0.0, 0.0]), requires_grad=True)
+        w = Tensor(np.array([0.0, 0.0]))
         w.grad = np.array([30.0, 40.0])
         norm = ad.clip_gradients(ad.AdamState([w], lr=1e-3), 5.0)
         assert norm == pytest.approx(50.0)
@@ -577,8 +595,8 @@ class TestOptimizers:
         np.testing.assert_allclose(w.grad, [3.0, 4.0])
 
     def test_clip_global_across_params(self):
-        a = Tensor(np.zeros(1), requires_grad=True)
-        b = Tensor(np.zeros(1), requires_grad=True)
+        a = Tensor(np.zeros(1))
+        b = Tensor(np.zeros(1))
         a.grad = np.array([3.0])
         b.grad = np.array([4.0])
         ad.clip_gradients(ad.AdamState([a, b], lr=1e-3), 2.5)
@@ -609,7 +627,7 @@ class TestInPlaceOptimizer:
     def test_matches_allocating_reference_bitwise(self):
         rng = np.random.default_rng(5)
         start = [rng.normal(size=s) for s in self.SHAPES]
-        params = [Tensor(a.copy(), requires_grad=True) for a in start]
+        params = [Tensor(a.copy()) for a in start]
         state = ad.AdamState(params, lr=0.01)
         ref_p = [a.copy() for a in start]
         ref_m = [np.zeros_like(a) for a in start]
@@ -650,7 +668,7 @@ class TestInPlaceOptimizer:
 
     def test_reserved_step_allocates_no_parameter_sized_array(self):
         rng = np.random.default_rng(6)
-        params = [Tensor(rng.normal(size=s), requires_grad=True)
+        params = [Tensor(rng.normal(size=s))
                   for s in ((40,), (64, 48), (48,))]
         for p in params:
             p.grad = rng.normal(size=p.shape)

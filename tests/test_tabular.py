@@ -41,13 +41,13 @@ def make_admission(aid, ts=None, mv=None, singles=None):
 def small_training_set():
     a = make_admission(
         "adm1",
-        ts={"heart_rate": [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]},
+        ts={"heart_rate": [1.0, 2.0, 3.0]},
         mv=[("drug", "4821"), ("drug", "777")],
         singles={"age": 63.0},
     )
     b = make_admission(
         "adm2",
-        ts={"heart_rate": [(0.0, 5.0)]},
+        ts={"heart_rate": [5.0]},
         mv=[("drug", "777")],
         singles={"age": 40.0},
     )
@@ -79,7 +79,7 @@ class TestAggregation:
         mean, mx, mn = aggregate_time_series(series)
         assert mean == pytest.approx(want, rel=1e-15)
         assert (mx, mn) == (1.7e308, -1.7e308)
-        rs = make_admission("a", ts={"hr": list(enumerate(series))})
+        rs = make_admission("a", ts={"hr": list(series)})
         table = apply_schema([rs], build_schema([rs]))
         assert table.values[0].tolist() == [mx, mean, mn]
 
@@ -259,7 +259,7 @@ class TestCells:
         assert row1[idx["ts_min:heart_rate"]] == 1.0
 
     def test_non_finite_ts_names_admission_and_class(self):
-        recs = [make_admission("adm9", ts={"hr": [(0.0, float("inf"))]})]
+        recs = [make_admission("adm9", ts={"hr": [float("inf")]})]
         schema = build_schema(recs)
         with pytest.raises(RecordError, match=r"adm9.*hr"):
             apply_schema(recs, schema)
@@ -290,7 +290,7 @@ class TestApplySchema:
         recs = small_training_set()
         _, schema = build_feature_table(recs)
         unseen = make_admission(
-            "u", ts={"novel": [(0.0, 4.0)]}, mv=[("drug", "000")],
+            "u", ts={"novel": [4.0]}, mv=[("drug", "000")],
             singles={"brand_new": 9.0},
         )
         # A schema-unknown numeric singleton has no column, so nothing lands.
@@ -345,7 +345,7 @@ class TestDiskFormats:
         sg.write_text('{"admission_id": "a", "field": "age", "value": 30}\n')
         recs = load_record_sets(ts, ev, sg)
         assert [r.admission_id for r in recs] == ["a", "b"]
-        assert recs[0].time_series["hr"] == [(0.0, 1.0), (1.0, 3.0)]
+        assert recs[0].time_series["hr"] == [1.0, 3.0]
         assert recs[1].multivalued == [("drug", "7")]
         assert recs[0].singletons == {"age": 30}
 
@@ -381,6 +381,10 @@ class TestDiskFormats:
             (1, '{"category": "drug", "item_id": "7"}', "'admission_id'"),
             (2, '{"admission_id": "a", "value": 30}', "'field'"),
             (2, '7', "int, not an object"),
+            (0, '{"admission_id": null, "class_id": ["x"], "timestamp": 0, "value": 1.0}',
+             "'admission_id'"),
+            (1, '{"admission_id": true, "category": "drug", "item_id": "7"}', "'admission_id'"),
+            (2, '{"admission_id": "a", "field": ["age"], "value": 30}', "'field'"),
         ],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, slot, line, complaint):
@@ -412,6 +416,18 @@ class TestDiskFormats:
              "'value' must be a FiniteNumber | str | bool | None, not -Infinity"),
             (2, '{"admission_id": "a", "field": "age", "value": [30]}',
              "'value' must be a FiniteNumber | str | bool | None, not [30]"),
+            (0, '{"admission_id": null, "class_id": "hr", "timestamp": 0, "value": 1.0}',
+             "'admission_id' must be a Id, not null"),
+            (0, '{"admission_id": "a", "class_id": ["x"], "timestamp": 0, "value": 1.0}',
+             "'class_id' must be a Id, not [\"x\"]"),
+            (1, '{"admission_id": "a", "category": "drug", "item_id": true}',
+             "'item_id' must be a Id, not true"),
+            (1, '{"admission_id": [7], "category": "drug", "item_id": "7"}',
+             "'admission_id' must be a Id, not [7]"),
+            (2, '{"admission_id": "a", "field": null, "value": 30}',
+             "'field' must be a Id, not null"),
+            (2, '{"admission_id": true, "field": "age", "value": 30}',
+             "'admission_id' must be a Id, not true"),
         ],
     )
     def test_wrong_typed_value_names_file_line_and_key(self, tmp_path, slot, line, complaint):
@@ -426,14 +442,15 @@ class TestDiskFormats:
         paths = [tmp_path / f"{name}.jsonl" for name in ("ts", "ev", "sg")]
         paths[0].write_text(
             '{"admission_id": "a", "class_id": "hr", "timestamp": 0, "value": -1.5e308}\n')
-        paths[1].write_text("")
+        paths[1].write_text('{"admission_id": "a", "category": "drug", "item_id": 7}\n')
         paths[2].write_text(
             '{"admission_id": "a", "field": "age", "value": 30}\n'
             '{"admission_id": "a", "field": "flag", "value": false}\n'
             '{"admission_id": "a", "field": "kind", "value": "ELECTIVE"}\n'
             '{"admission_id": "a", "field": "note", "value": null}\n')
         (rec,) = load_record_sets(*paths)
-        assert rec.time_series == {"hr": [(0.0, -1.5e308)]}
+        assert rec.time_series == {"hr": [-1.5e308]}
+        assert rec.multivalued == [("drug", "7")]
         assert rec.singletons == {"age": 30, "flag": False, "kind": "ELECTIVE", "note": None}
 
     @pytest.mark.parametrize("edit, complaint", [
@@ -480,7 +497,7 @@ def fuzz_record_set(rng, aid, later, lengths):
             vals = rng.choice([0.0, -0.0], size=n)
         else:
             vals = rng.choice([1.0, -1.0], size=n) * 10.0 ** rng.uniform(290, 308, size=n)
-        rs.time_series[f"c{c}"] = [(float(t), float(v)) for t, v in enumerate(vals)]
+        rs.time_series[f"c{c}"] = [float(v) for v in vals]
     for _ in range(int(rng.integers(0, 6))):
         category = str(rng.choice(sorted(MULTIVALUED_CATEGORIES)))
         rs.multivalued.append((category, f"i{rng.integers(0, 6 if later else 4)}"))

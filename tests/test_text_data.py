@@ -125,6 +125,11 @@ class TestDatasetFiles:
              "'labels' must be a list[str], not [null, 3]"),
             (load_notes, '{"admission_id": "b", "text": null}', "'text' must be a str, not null"),
             (load_notes, '{"admission_id": "b", "text": ["y"]}', "'text' must be a str"),
+            (load_notes, '{"admission_id": null, "text": "y"}', "'admission_id' must be a Id, not null"),
+            (load_labels, '{"admission_id": ["b"], "labels": []}',
+             "'admission_id' must be a Id, not [\"b\"]"),
+            (load_labels, '{"admission_id": false, "labels": []}',
+             "'admission_id' must be a Id, not false"),
         ],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, loader, line, complaint):

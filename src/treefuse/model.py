@@ -15,8 +15,10 @@ branch entirely, passing the LSTM output straight to label attention.
 
 Everything runs in float64. Training runs on the reverse-mode tape with a
 batch size of one document, which keeps runs deterministic under a fixed
-seed; scoring a split (``predict_matrix``) runs the LSTM over batches of
-documents, forward only.
+seed. Scoring a split (``predict_matrix``) is forward only and records
+nothing on a tape: it runs the LSTM over batches of documents and the head
+over groups of their stacked token rows, with the fuse projection, query
+projection and leaf embeddings folded into per-pass constants.
 """
 
 from __future__ import annotations
@@ -166,11 +168,11 @@ def encode_text(token_ids: np.ndarray, params: ModelParams) -> Tensor:
     return ad.concat([fwd, bwd], axis=1)
 
 
-def assemble_leaf_matrix(assignment: np.ndarray, params: ModelParams) -> Tensor:
-    """Activated-leaf embeddings as a d_l x n_trees matrix, one column per
+def _leaf_rows(assignment, leaf_counts) -> np.ndarray:
+    """Rows of ``leaf_table`` that a leaf assignment activates, one per
     tree. Each leaf id must be in range for its own tree."""
     assignment = np.asarray(assignment, dtype=np.int64)
-    counts = np.asarray(params.dims.leaf_counts, dtype=np.int64)
+    counts = np.asarray(leaf_counts, dtype=np.int64)
     if assignment.shape != counts.shape:
         raise ValueError(
             f"assignment length {assignment.shape} does not match "
@@ -183,7 +185,13 @@ def assemble_leaf_matrix(assignment: np.ndarray, params: ModelParams) -> Tensor:
             f"leaf {int(assignment[t])} out of range [0, {int(counts[t])}) "
             f"for tree {t}"
         )
-    rows = np.cumsum(counts) - counts + assignment
+    return np.cumsum(counts) - counts + assignment
+
+
+def assemble_leaf_matrix(assignment: np.ndarray, params: ModelParams) -> Tensor:
+    """Activated-leaf embeddings as a d_l x n_trees matrix, one column per
+    tree. Each leaf id must be in range for its own tree."""
+    rows = _leaf_rows(assignment, params.dims.leaf_counts)
     return ad.transpose2d(ad.gather(params.leaf_table, rows))
 
 
@@ -247,20 +255,14 @@ def predict(V: Tensor, params: ModelParams) -> Tensor:
 def forward(params: ModelParams, token_ids: np.ndarray,
             assignment: np.ndarray | None, mode: str) -> Tensor:
     """Document -> per-label probability vector."""
-    return _head(encode_text(token_ids, params), assignment, params, mode)
-
-
-def _head(H: Tensor, assignment: np.ndarray | None, params: ModelParams,
-          mode: str) -> Tensor:
-    """Encoded document (N x d_h) -> per-label probability vector."""
+    H = encode_text(token_ids, params)
     leaf_matrix = None
     if mode in LEAF_MODES:
         if assignment is None:
             raise ValueError(f"fusion mode {mode!r} needs a leaf assignment")
         leaf_matrix = assemble_leaf_matrix(assignment, params)
     M = fuse(H, leaf_matrix, params, mode)
-    V = label_attention(M, params.label_attn)
-    return predict(V, params)
+    return predict(label_attention(M, params.label_attn), params)
 
 
 def document_loss(params: ModelParams, token_ids, assignment, target,
@@ -277,6 +279,22 @@ def document_loss(params: ModelParams, token_ids, assignment, target,
 # 4 d_lstm floats; a larger budget scores a little faster but adds its
 # buffers to the peak memory of the validation pass inside training.
 _SCORE_BATCH_STEPS = 2048
+# Padded token rows per head group. A group's buffers hold, per row, its
+# LSTM states (d_h floats), their product with the head's constants
+# (distinct tree keys + 2 n_labels), tree weights and leaf terms; heads over
+# whole batches raised long_text's peak RSS by a tenth.
+_HEAD_ROWS = 256
+
+
+def _runs(lengths: np.ndarray, budget: int):
+    """(start, stop) of consecutive runs over non-increasing ``lengths``,
+    each at most ``budget`` padded rows (its first length x its size); a
+    longer item is a run of its own."""
+    start = 0
+    while start < len(lengths):
+        stop = start + max(1, budget // int(lengths[start]))
+        yield start, stop
+        start = stop
 
 
 def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndarray:
@@ -288,9 +306,15 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
     are found once; each LSTM direction projects their embeddings in one
     GEMM and runs over the batch as one ``ad.lstm_scan``, one recurrent GEMM
     per step; the reverse direction reads each document's tokens reversed.
-    Each document's rows then go through the same fusion, label attention
-    and output layer as ``forward``. Agrees with per-document ``forward`` to
-    rounding.
+
+    The head runs on plain arrays over groups of whole documents of at most
+    ``_HEAD_ROWS`` padded rows. It needs the fused rows M only as
+    ``M @ [label_attn | out_weight.T]``, so each pass folds the fuse
+    projection, the leaf embeddings and the query projection into
+    constants: a stacked token row takes one GEMM, its leaf term one
+    batched product per document, and label attention and the output layer
+    are segment reductions. Agrees with per-document ``forward`` to rtol
+    1e-12.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
@@ -307,20 +331,37 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
             raise ValueError(f"document {i}: cannot encode an empty document")
         if ids.min() < 0 or ids.max() >= vocab_size:
             raise IndexError(f"document {i}: token id out of range [0, {vocab_size})")
+    n_trees = params.dims.n_trees
+    leaf_rows = np.empty((len(docs), n_trees), dtype=np.int64)
+    if mode in LEAF_MODES:
+        for i, assignment in enumerate(assignments):
+            try:
+                if assignment is None:
+                    raise ValueError(f"fusion mode {mode!r} needs a leaf assignment")
+                leaf_rows[i] = _leaf_rows(assignment, params.dims.leaf_counts)
+            except (IndexError, ValueError) as exc:
+                raise type(exc)(f"document {i}: {exc}") from None
+
+    d, d_h, n_labels = params.dims.d_lstm, params.dims.d_h, params.dims.n_labels
+    G = np.hstack((params.label_attn.data, params.out_weight.data.T))
+    if mode in LEAF_MODES:
+        G = params.fuse_proj.data.T @ G
+    row_weights = G[:d_h]
+    if mode in ("attention", "average"):
+        # duplicate key columns share one product column, so their scores
+        # are bitwise equal and uniform attention is exactly uniform;
+        # average runs the same product, so the two then agree bitwise
+        keys, key_of_tree = np.unique(params.tree_keys.data, axis=1, return_inverse=True)
+        row_weights = np.hstack((params.query_proj.data.T @ keys, row_weights))
+        leaf_out = params.leaf_table.data @ G[d_h:]
 
     lengths = np.array([ids.size for ids in docs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
-    batches = []
-    start = 0
-    while start < len(order):
-        size = max(1, _SCORE_BATCH_STEPS // int(lengths[order[start]]))
-        batches.append(order[start : start + size])
-        start += size
-    d = params.dims.d_lstm
+    batches = [order[a:b] for a, b in _runs(lengths[order], _SCORE_BATCH_STEPS)]
     buf = np.empty(max((int(lengths[b[0]]) * len(b) for b in batches), default=0) * 2 * d)
 
     table = params.word_emb.data
-    probs = np.empty((len(docs), params.dims.n_labels))
+    probs = np.empty((len(docs), n_labels))
     for batch in batches:
         lens = lengths[batch]
         steps = int(lens[0])
@@ -339,14 +380,33 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
                      params.lstm_fwd_wh.data, params.lstm_fwd_b.data, out[:, :, :d])
         ad.lstm_scan(rows, bwd_ids, lens, params.lstm_bwd_wx.data,
                      params.lstm_bwd_wh.data, params.lstm_bwd_b.data, out[:, :, d:])
-        for j, i in enumerate(batch):
-            n = lens[j]
-            H = Tensor(np.concatenate((out[:n, j, :d], out[n - 1 :: -1, j, d:]), axis=1))
-            assignment = None if assignments is None else assignments[i]
-            try:
-                probs[i] = _head(H, assignment, params, mode).data
-            except (IndexError, ValueError) as exc:
-                raise type(exc)(f"document {i}: {exc}") from None
+        for a, b in _runs(lens, _HEAD_ROWS):
+            ids, n = batch[a:b], lens[a:b]
+            # each stacked row's document in the group and token position
+            doc = np.repeat(np.arange(len(ids)), n)
+            starts = np.cumsum(n) - n
+            pos = np.arange(doc.size) - starts[doc]
+            H = np.concatenate((out[pos, a + doc, :d], out[n[doc] - 1 - pos, a + doc, d:]), axis=1)
+            Z = H @ row_weights
+            if mode == "maxpool":
+                Z += (params.leaf_table.data[leaf_rows[ids]].max(axis=1) @ G[d_h:])[doc]
+            elif mode != "text_only":
+                if mode == "attention":
+                    scores = Z[:, key_of_tree]
+                    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+                    alpha = e / e.sum(axis=1, keepdims=True)
+                else:
+                    alpha = 1.0 / n_trees
+                weights = np.zeros((len(ids), n[0], n_trees))
+                weights[doc, pos] = alpha
+                pulled = np.matmul(weights, leaf_out[leaf_rows[ids]])
+                Z = Z[:, -2 * n_labels:] + pulled[doc, pos]
+            # label attention: softmax over each document's rows, then
+            # logit_l = sum_r a_rl (w_l . M_r) + b_l
+            S, O = Z[:, :n_labels], Z[:, n_labels:]
+            e = np.exp(S - np.maximum.reduceat(S, starts)[doc])
+            logits = np.add.reduceat(e * O, starts) / np.add.reduceat(e, starts)
+            probs[ids] = ad._sigmoid_arr(logits + params.out_bias.data)
     return probs
 
 

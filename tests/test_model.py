@@ -527,11 +527,14 @@ class TestPredictMatrix:
         docs = [rng.integers(0, TOY.vocab_size, size=n) for n in lengths]
         return docs, [toy_assignment(rng=rng) for _ in lengths]
 
+    @pytest.mark.parametrize("head_rows", [None, 4])
     @pytest.mark.parametrize("budget", [None, 9])
     @pytest.mark.parametrize("mode", tm.FUSION_MODES)
-    def test_matches_per_document_forward(self, mode, budget, monkeypatch):
+    def test_matches_per_document_forward(self, mode, budget, head_rows, monkeypatch):
         if budget is not None:
             monkeypatch.setattr(tm, "_SCORE_BATCH_STEPS", budget)
+        if head_rows is not None:
+            monkeypatch.setattr(tm, "_HEAD_ROWS", head_rows)
         budget = tm._SCORE_BATCH_STEPS
         shapes = []
         scan = tm.ad.lstm_scan
@@ -540,7 +543,17 @@ class TestPredictMatrix:
             shapes.append(ids.shape)
             return scan(table, ids, *args)
 
+        groups = []
+        runs = tm._runs
+
+        def runs_spy(lengths, cap):
+            out = list(runs(lengths, cap))
+            if cap == tm._HEAD_ROWS:
+                groups.extend(lengths[a:b] for a, b in out)
+            return out
+
         monkeypatch.setattr(tm.ad, "lstm_scan", spy)
+        monkeypatch.setattr(tm, "_runs", runs_spy)
         # ragged and unsorted, with ties, one-token documents and one
         # document longer than the budget
         lengths = [3, 1, 7, 3, 1, budget + 1, 5, 7, 2, 1]
@@ -555,6 +568,33 @@ class TestPredictMatrix:
         assert shapes[0] == shapes[1] == (budget + 1, 1)
         assert all(steps * n <= budget for steps, n in shapes[2:])
         assert sum(n for _, n in shapes) == 2 * len(docs)
+        # head groups stay inside the cap, or hold one longer document
+        assert all(len(g) == 1 or len(g) * g[0] <= tm._HEAD_ROWS for g in groups)
+        if head_rows is not None:
+            # groups split inside a batch, and a document longer than the
+            # cap is a group of its own
+            assert len(groups) > len(shapes) // 2
+            assert any(len(g) == 1 and g[0] > head_rows for g in groups)
+
+    @pytest.mark.parametrize("mode", tm.FUSION_MODES)
+    def test_records_nothing_on_a_tape(self, mode):
+        docs, assignments = self.docs_and_assignments([3, 1, 4])
+        with Tape() as tape:
+            predict_matrix(toy_params(), docs, assignments, mode)
+        assert tape._nodes == []
+
+    def test_identical_tree_keys_attention_equals_average_exactly(self):
+        dims = ModelDims(vocab_size=12, n_labels=3, leaf_counts=(3, 4, 2, 5, 3),
+                         d_e=4, d_lstm=3, d_t=4, d_l=3)
+        params = toy_params(dims, seed=43)
+        params.tree_keys.data[:, 1:] = params.tree_keys.data[:, :1]
+        rng = np.random.default_rng(44)
+        docs = [rng.integers(0, dims.vocab_size, size=n) for n in (3, 1, 7, 4)]
+        assignments = [toy_assignment(dims, rng) for _ in docs]
+        np.testing.assert_array_equal(
+            predict_matrix(params, docs, assignments, "attention"),
+            predict_matrix(params, docs, assignments, "average"),
+        )
 
     def test_empty_split(self):
         params = toy_params()
@@ -592,13 +632,16 @@ class TestPredictMatrix:
             predict_matrix(params, docs, assignments[:2] + [np.array([3, 0])],
                            "attention")
 
-    def test_leaf_error_names_document(self):
+    @pytest.mark.parametrize("assignment, error, message", [
+        (np.array([3, 0]), IndexError, "leaf 3 out of range [0, 3) for tree 0"),
+        (np.array([0]), ValueError, "assignment length (1,) does not match 2 trees"),
+        (None, ValueError, "fusion mode 'attention' needs a leaf assignment"),
+    ], ids=["out_of_range", "wrong_length", "missing"])
+    def test_leaf_error_names_document(self, assignment, error, message):
         params = toy_params()
         docs, assignments = self.docs_and_assignments([3, 2, 4])
-        with pytest.raises(IndexError, match=re.escape(
-                "document 2: leaf 3 out of range [0, 3) for tree 0")):
-            predict_matrix(params, docs, assignments[:2] + [np.array([3, 0])],
-                           "attention")
+        with pytest.raises(error, match=re.escape(f"document 2: {message}")):
+            predict_matrix(params, docs, assignments[:2] + [assignment], "attention")
 
 
 class TestCheckpoint:

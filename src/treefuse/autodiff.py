@@ -5,6 +5,11 @@ only tracking rule: an op run inside ``with Tape()`` records a backward
 closure, and that closure gives every input its gradient; an op run outside
 a tape records nothing. ``backward`` replays the tape in reverse,
 accumulating gradients with ``+=`` so shared inputs sum their contributions.
+
+A parameter's gradient buffer is optimizer state: ``AdamState`` makes it
+zeroed and points ``grad`` at it, ``zero_grads`` refills it before each
+step, and training sets ``grad`` back to None when it ends. Any other
+tensor gets a buffer from its first gradient.
 """
 
 from __future__ import annotations
@@ -33,21 +38,16 @@ class Tensor:
         return self.data.shape
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` into the gradient buffer.
+        """Add ``g`` into the gradient buffer in place.
 
-        The buffer is made on first use as ``g + 0.0`` (bitwise equal to
-        zeros plus ``g``, signed zeros included) in the layout of ``data``;
-        after that ``g`` is added in place. ``zero_grads`` keeps the buffer
-        and fills it with zeros; ``zero_grad`` drops it.
+        A tensor without a buffer, which no optimizer state owns, gets one
+        as ``g + 0.0`` (bitwise equal to zeros plus ``g``, signed zeros
+        included) in the layout of ``data``.
         """
         if self.grad is None:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
-
-    def zero_grad(self) -> None:
-        """Drop the gradient buffer; the next ``accumulate_grad`` makes a new one."""
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -500,13 +500,15 @@ class AdamState:
     """Bias-corrected adaptive-moment optimizer state over a fixed parameter
     list, made whole at construction.
 
-    ``m`` and ``v`` are zero arrays aligned with ``params`` and updated in
-    place by every step. ``adam_step`` and ``clip_gradients`` compute
-    through one scratch pair sized to the largest parameter, so a step
-    allocates no parameter-sized array. The state is made before the
-    first step: made inside the first step instead, among that step's
-    temporaries, it left later steps growing and trimming the heap top
-    every time, at several times the minor page faults per run.
+    ``grads``, ``m`` and ``v`` are zero arrays aligned with ``params`` and
+    updated in place; each parameter's ``grad`` points at its buffer in
+    ``grads`` until the caller sets it back to None. ``adam_step`` and
+    ``clip_gradients`` compute through one scratch pair sized to the
+    largest parameter, so a step allocates no parameter-sized array. The
+    state is made before the first step: made inside the first step
+    instead, among that step's temporaries, it left later steps growing and
+    trimming the heap top every time, at several times the minor page
+    faults per run.
     """
 
     BETA1 = 0.9
@@ -517,9 +519,12 @@ class AdamState:
         self.params = params
         self.lr = lr
         self.step_count = 0
+        self.grads = [np.zeros_like(p.data) for p in params]
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.scratch = np.empty((2, max((p.data.size for p in params), default=0)))
+        for p, g in zip(params, self.grads):
+            p.grad = g
 
     def scratch_like(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Two views shaped like ``a`` into the scratch pair."""
@@ -527,8 +532,7 @@ class AdamState:
 
 
 def adam_step(state: AdamState) -> None:
-    """One update over all of the state's parameters; a missing gradient
-    counts as zero.
+    """One update of every parameter from its gradient buffer.
 
     Runs in place, in the operation order of
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
@@ -537,12 +541,8 @@ def adam_step(state: AdamState) -> None:
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.BETA1, state.BETA2
-    for p, m, v in zip(state.params, state.m, state.v):
+    for p, g, m, v in zip(state.params, state.grads, state.m, state.v):
         a, b = state.scratch_like(p.data)
-        g = p.grad
-        if g is None:
-            g = a
-            g.fill(0.0)
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=b)
         v *= b2
@@ -570,22 +570,18 @@ def clip_gradients(state: AdamState, max_norm: float) -> float:
     the gradients are scaled in place. Returns the pre-clip norm.
     """
     total = 0.0
-    for p in state.params:
-        if p.grad is not None:
-            out = state.scratch_like(p.grad)[0]
-            total += float(np.sum(np.multiply(p.grad, p.grad, out=out)))
+    for g in state.grads:
+        out = state.scratch_like(g)[0]
+        total += float(np.sum(np.multiply(g, g, out=out)))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for p in state.params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in state.grads:
+            g *= scale
     return norm
 
 
-def zero_grads(params: list[Tensor]) -> None:
-    """Fill every existing gradient buffer with zeros, keeping the buffer;
-    a parameter without one stays without one."""
-    for p in params:
-        if p.grad is not None:
-            p.grad.fill(0.0)
+def zero_grads(state: AdamState) -> None:
+    """Fill the state's gradient buffers with zeros, keeping the arrays."""
+    for g in state.grads:
+        g.fill(0.0)

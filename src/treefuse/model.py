@@ -297,6 +297,40 @@ def _runs(lengths: np.ndarray, budget: int):
         start = stop
 
 
+def _checked_split(params: ModelParams, mode: str, docs, assignments,
+                   targets=None, split: str | None = None):
+    """A split's int64 token arrays and, where ``mode`` fuses leaves, the
+    ``leaf_table`` rows of each document, after checking the whole split.
+    Errors name the split, when given, and the document."""
+    at = "" if split is None else f"{split} split, "
+    if assignments is None:
+        assignments = [None] * len(docs)
+    sizes = {"documents": docs, "assignments": assignments, "target rows": targets}
+    counts = {name: len(part) for name, part in sizes.items() if part is not None}
+    if len(set(counts.values())) > 1:
+        raise ValueError(at + ", ".join(f"{n} {name}" for name, n in counts.items()))
+    if targets is not None and np.shape(targets)[1:] != (params.dims.n_labels,):
+        raise ValueError(f"{at}target rows need {params.dims.n_labels} labels, "
+                         f"got shape {np.shape(targets)}")
+    docs = [np.asarray(ids, dtype=np.int64) for ids in docs]
+    leaf_rows = np.empty((len(docs), params.dims.n_trees), dtype=np.int64)
+    for i, ids in enumerate(docs):
+        try:
+            if ids.ndim != 1:
+                raise ValueError(f"token ids must be 1-D, got shape {ids.shape}")
+            if ids.size == 0:
+                raise ValueError("cannot encode an empty document")
+            if ids.min() < 0 or ids.max() >= params.dims.vocab_size:
+                raise IndexError(f"token id out of range [0, {params.dims.vocab_size})")
+            if mode in LEAF_MODES:
+                if assignments[i] is None:
+                    raise ValueError(f"fusion mode {mode!r} needs a leaf assignment")
+                leaf_rows[i] = _leaf_rows(assignments[i], params.dims.leaf_counts)
+        except (IndexError, ValueError) as exc:
+            raise type(exc)(f"{at}document {i}: {exc}") from None
+    return docs, leaf_rows
+
+
 def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndarray:
     """Probabilities for a whole split; rows follow docs order.
 
@@ -318,29 +352,8 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
-    docs = [np.asarray(ids, dtype=np.int64) for ids in docs]
-    if assignments is not None and len(assignments) != len(docs):
-        raise ValueError(f"{len(assignments)} assignments for {len(docs)} documents")
-    if mode in LEAF_MODES and assignments is None:
-        raise ValueError(f"fusion mode {mode!r} needs a leaf assignment")
-    vocab_size = params.dims.vocab_size
-    for i, ids in enumerate(docs):
-        if ids.ndim != 1:
-            raise ValueError(f"document {i}: token ids must be 1-D, got shape {ids.shape}")
-        if ids.size == 0:
-            raise ValueError(f"document {i}: cannot encode an empty document")
-        if ids.min() < 0 or ids.max() >= vocab_size:
-            raise IndexError(f"document {i}: token id out of range [0, {vocab_size})")
+    docs, leaf_rows = _checked_split(params, mode, docs, assignments)
     n_trees = params.dims.n_trees
-    leaf_rows = np.empty((len(docs), n_trees), dtype=np.int64)
-    if mode in LEAF_MODES:
-        for i, assignment in enumerate(assignments):
-            try:
-                if assignment is None:
-                    raise ValueError(f"fusion mode {mode!r} needs a leaf assignment")
-                leaf_rows[i] = _leaf_rows(assignment, params.dims.leaf_counts)
-            except (IndexError, ValueError) as exc:
-                raise type(exc)(f"document {i}: {exc}") from None
 
     d, d_h, n_labels = params.dims.d_lstm, params.dims.d_h, params.dims.n_labels
     G = np.hstack((params.label_attn.data, params.out_weight.data.T))
@@ -467,11 +480,11 @@ def train_model(
     parameters are restored to the epoch with the highest validation
     micro-F1 (earliest such epoch on ties).
 
-    Each parameter's gradient buffer is made in the first step of an
-    epoch that reaches it, zero-filled before every later step of that
-    epoch and dropped at the epoch's end, so the validation pass runs
-    without it. The optimizer's state is made before the first step, and
-    Adam and clipping work in place through its scratch pair.
+    Both splits are checked whole before any parameter changes. The
+    optimizer's state is made before the first step, with one gradient
+    buffer per parameter that every step zero-fills and reuses; Adam and
+    clipping work in place through its scratch pair. The parameters let go
+    of the buffers when training returns.
     """
     n = len(train_docs)
     if n == 0:
@@ -479,14 +492,9 @@ def train_model(
     if len(val_docs) == 0:
         raise ValueError("empty validation split: best-epoch selection "
                          "needs at least one validation document")
-    for split, docs, assignments, targets in (
-        ("train", train_docs, train_assignments, train_targets),
-        ("validation", val_docs, val_assignments, val_targets),
-    ):
-        n_assign = len(docs) if assignments is None else len(assignments)
-        if not len(docs) == n_assign == len(targets):
-            raise ValueError(f"{split} split: {len(docs)} documents, {n_assign} "
-                             f"assignments, {len(targets)} target rows")
+    mode = settings.fusion_mode
+    _checked_split(params, mode, train_docs, train_assignments, train_targets, "train")
+    _checked_split(params, mode, val_docs, val_assignments, val_targets, "validation")
     train_targets = np.asarray(train_targets, dtype=np.float64)
     val_targets = np.asarray(val_targets, dtype=np.float64)
     k = min(PRECISION_K, train_targets.shape[1])
@@ -496,7 +504,7 @@ def train_model(
     adam = AdamState(tensors, settings.learning_rate)
 
     log_rows: list[dict] = []
-    best_state = params.snapshot()
+    # micro-F1 is >= 0, so epoch 0 always sets best_state
     best_epoch = -1
     best_val = -1.0
 
@@ -507,11 +515,10 @@ def train_model(
         grad_norm_total = 0.0
         for i in order:
             assignment = None if train_assignments is None else train_assignments[i]
-            ad.zero_grads(tensors)
+            ad.zero_grads(adam)
             with Tape() as tape:
                 loss, yhat = document_loss(
-                    params, train_docs[i], assignment, train_targets[i],
-                    settings.fusion_mode,
+                    params, train_docs[i], assignment, train_targets[i], mode
                 )
             train_probs[i] = yhat.data
             loss_value = float(loss.data)
@@ -524,15 +531,9 @@ def train_model(
             grad_norm_total += ad.clip_gradients(adam, settings.clip_norm)
             ad.adam_step(adam)
             loss_total += loss_value
-        # drop the gradient buffers before the validation pass, whose
-        # buffers set the process's peak memory
-        for t in tensors:
-            t.zero_grad()
 
         train_f1 = micro_f1(PredictionBatch(train_probs, train_targets))
-        val_probs = predict_matrix(
-            params, val_docs, val_assignments, settings.fusion_mode
-        )
+        val_probs = predict_matrix(params, val_docs, val_assignments, mode)
         val_metrics = compute_all(PredictionBatch(val_probs, val_targets), k=k)
         row = {
             "epoch": epoch,
@@ -552,6 +553,8 @@ def train_model(
             best_epoch = epoch
             best_state = params.snapshot()
 
+    for t in tensors:
+        t.grad = None
     params.restore(best_state)
     return TrainResult(log_rows=log_rows, best_epoch=best_epoch)
 

@@ -260,11 +260,14 @@ def featurize_row(rs, schema) -> np.ndarray:
     return row
 
 
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def adam_reference(p, g, m, v, t, lr, beta1, beta2, eps):
     """One bias-corrected Adam update of one array, every term a fresh
-    array; a None gradient counts as zeros. Returns the new (p, m, v)."""
-    if g is None:
-        g = np.zeros_like(p)
+    array. Returns the new (p, m, v)."""
     m = m * beta1 + (1.0 - beta1) * g
     v = v * beta2 + (1.0 - beta2) * g * g
     m_hat = m / (1.0 - beta1**t)
@@ -273,16 +276,15 @@ def adam_reference(p, g, m, v, t, lr, beta1, beta2, eps):
 
 
 def clip_reference(grads, max_norm):
-    """Global-L2-norm clipping with fresh arrays; None gradients are skipped.
+    """Global-L2-norm clipping with fresh arrays.
     Returns (the possibly scaled gradients, the pre-clip norm)."""
     total = 0.0
     for g in grads:
-        if g is not None:
-            total += float(np.sum(g * g))
+        total += float(np.sum(g * g))
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        grads = [None if g is None else g * scale for g in grads]
+        grads = [g * scale for g in grads]
     return grads, norm
 
 

@@ -16,6 +16,7 @@ from treefuse.autodiff import Tape, Tensor, backward
 from oracles import (
     FD_STEP,
     adam_reference,
+    assert_bitwise,
     clip_reference,
     finite_difference_grad,
     max_rel_error,
@@ -538,17 +539,17 @@ class TestTapeMechanics:
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [2.0])
 
-    def test_zero_grad(self):
-        x = Tensor(np.ones(2))
-        with Tape() as tape:
-            loss = ad.reduce_sum(x)
-        backward(tape, loss)
-        x.zero_grad()
-        assert x.grad is None
-
 
 class TestOptimizers:
-    def test_adam_missing_grad_leaves_param_unchanged(self):
+    def test_state_owns_one_zero_gradient_buffer_per_param(self):
+        a = Tensor(np.ones((2, 3)))
+        b = Tensor(np.ones(4))
+        state = ad.AdamState([a, b], lr=1e-3)
+        assert a.grad is state.grads[0] and b.grad is state.grads[1]
+        for p, g in zip((a, b), state.grads):
+            assert_bitwise(g, np.zeros_like(p.data))
+
+    def test_adam_zero_grad_leaves_param_unchanged(self):
         w = Tensor(np.array([1.0, 2.0]))
         state = ad.AdamState([w], lr=1e-3)
         ad.adam_step(state)
@@ -559,8 +560,8 @@ class TestOptimizers:
         # With bias correction the first update is lr * sign(grad) for a
         # plain gradient (m_hat / (sqrt(v_hat) + eps) ~ sign).
         w = Tensor(np.array([0.0]))
-        w.grad = np.array([7.0])
         state = ad.AdamState([w], lr=0.1)
+        state.grads[0][...] = 7.0
         ad.adam_step(state)
         assert float(w.data[0]) == pytest.approx(-0.1, rel=1e-6)
 
@@ -568,9 +569,8 @@ class TestOptimizers:
         w = Tensor(np.array([0.0]))
         state = ad.AdamState([w], lr=0.1)
         for _ in range(100):
-            w.grad = 2.0 * (w.data - 3.0)
+            state.grads[0][...] = 2.0 * (w.data - 3.0)
             ad.adam_step(state)
-            w.zero_grad()
         assert abs(float(w.data[0]) - 3.0) < 0.5
 
     def test_sgd_step(self):
@@ -581,15 +581,17 @@ class TestOptimizers:
 
     def test_clip_noop_below_threshold(self):
         w = Tensor(np.array([3.0, 4.0]))
-        w.grad = np.array([0.3, 0.4])
-        norm = ad.clip_gradients(ad.AdamState([w], lr=1e-3), 5.0)
+        state = ad.AdamState([w], lr=1e-3)
+        state.grads[0][...] = [0.3, 0.4]
+        norm = ad.clip_gradients(state, 5.0)
         assert norm == pytest.approx(0.5)
         np.testing.assert_array_equal(w.grad, [0.3, 0.4])
 
     def test_clip_rescales_to_threshold(self):
         w = Tensor(np.array([0.0, 0.0]))
-        w.grad = np.array([30.0, 40.0])
-        norm = ad.clip_gradients(ad.AdamState([w], lr=1e-3), 5.0)
+        state = ad.AdamState([w], lr=1e-3)
+        state.grads[0][...] = [30.0, 40.0]
+        norm = ad.clip_gradients(state, 5.0)
         assert norm == pytest.approx(50.0)
         assert np.linalg.norm(w.grad) == pytest.approx(5.0)
         np.testing.assert_allclose(w.grad, [3.0, 4.0])
@@ -597,31 +599,27 @@ class TestOptimizers:
     def test_clip_global_across_params(self):
         a = Tensor(np.zeros(1))
         b = Tensor(np.zeros(1))
-        a.grad = np.array([3.0])
-        b.grad = np.array([4.0])
-        ad.clip_gradients(ad.AdamState([a, b], lr=1e-3), 2.5)
+        state = ad.AdamState([a, b], lr=1e-3)
+        state.grads[0][...] = 3.0
+        state.grads[1][...] = 4.0
+        ad.clip_gradients(state, 2.5)
         # Both scaled by the same global factor 0.5.
         np.testing.assert_allclose(a.grad, [1.5])
         np.testing.assert_allclose(b.grad, [2.0])
 
 
-def assert_bitwise(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
 class TestInPlaceOptimizer:
     """``clip_gradients`` and ``adam_step`` against allocating references:
-    tensors of different sizes share the scratch pair, one never has a
-    gradient, and one gradient carries signed zeros."""
+    tensors of different sizes share the scratch pair, one only ever has a
+    zero gradient, and one gradient carries signed zeros."""
 
     SHAPES = [(3, 4), (9, 7), (5,), (2, 2)]
-    NO_GRAD = 3
+    ZERO_GRAD = 3
 
     def step_grads(self, rng, step):
         grads = [rng.normal(scale=0.3 if step % 2 else 3.0, size=s) for s in self.SHAPES]
         grads[2][[0, 3]] = -0.0
-        grads[self.NO_GRAD] = None
+        grads[self.ZERO_GRAD] = None
         return grads
 
     def test_matches_allocating_reference_bitwise(self):
@@ -632,16 +630,17 @@ class TestInPlaceOptimizer:
         ref_p = [a.copy() for a in start]
         ref_m = [np.zeros_like(a) for a in start]
         ref_v = [np.zeros_like(a) for a in start]
-        buffers = None
+        buffers = list(state.grads)
         norms = []
         for step in range(1, 7):
             grads = self.step_grads(rng, step)
-            ad.zero_grads(params)
+            ad.zero_grads(state)
             for p, g in zip(params, grads):
                 if g is not None:
                     p.accumulate_grad(g)
             # the allocating path adds each gradient to a zero array
-            ref_g = [None if g is None else np.zeros_like(g) + g for g in grads]
+            ref_g = [np.zeros(s) if g is None else np.zeros_like(g) + g
+                     for s, g in zip(self.SHAPES, grads)]
             norm = ad.clip_gradients(state, 4.0)
             ref_g, ref_norm = clip_reference(ref_g, 4.0)
             assert norm == ref_norm
@@ -655,12 +654,7 @@ class TestInPlaceOptimizer:
                 assert_bitwise(p.data, ref_p[i])
                 assert_bitwise(state.m[i], ref_m[i])
                 assert_bitwise(state.v[i], ref_v[i])
-                if ref_g[i] is None:
-                    assert p.grad is None
-                else:
-                    assert_bitwise(p.grad, ref_g[i])
-            if buffers is None:
-                buffers = [p.grad for p in params]
+                assert_bitwise(p.grad, ref_g[i])
             # zero_grads keeps the buffers: the same arrays every step
             assert all(p.grad is b for p, b in zip(params, buffers))
         assert min(norms) < 4.0 < max(norms)
@@ -670,9 +664,9 @@ class TestInPlaceOptimizer:
         rng = np.random.default_rng(6)
         params = [Tensor(rng.normal(size=s))
                   for s in ((40,), (64, 48), (48,))]
-        for p in params:
-            p.grad = rng.normal(size=p.shape)
         state = ad.AdamState(params, lr=1e-3)
+        for g in state.grads:
+            g[...] = rng.normal(size=g.shape)
         largest = max(p.data.nbytes for p in params)
         # the first step after construction, then a repeat step
         for _ in range(2):

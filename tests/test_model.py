@@ -29,7 +29,7 @@ from treefuse.model import (
     train_model,
 )
 
-from oracles import finite_difference_grad, max_rel_error, scalar_lstm_states
+from oracles import assert_bitwise, finite_difference_grad, max_rel_error, scalar_lstm_states
 
 RNG = np.random.default_rng(20240820)
 
@@ -420,24 +420,40 @@ class TestTraining:
         for got_docs, got_assignments in scored:
             assert got_docs is val_docs and got_assignments is val_assignments
 
-    def test_gradients_freed_before_validation_pass(self, monkeypatch):
-        # the last step's gradients would otherwise sit in memory beside the
-        # validation pass's buffers
+    def test_gradient_buffers_made_once_per_run(self, monkeypatch):
+        # every step of every epoch starts on the same zeroed buffers, and
+        # the parameters let go of them when training returns
         grads_seen = []
 
-        def spy(params, docs, assignments, mode):
-            grads_seen.append([(name, t.grad) for name, t in params.named()])
-            return predict_matrix(params, docs, assignments, mode)
+        def spy(params, *args):
+            grads_seen.append([t.grad for t in params.all()])
+            for t in params.all():
+                assert_bitwise(t.grad, np.zeros_like(t.data))
+            return document_loss(params, *args)
 
-        monkeypatch.setattr(tm, "predict_matrix", spy)
+        monkeypatch.setattr(tm, "document_loss", spy)
         params = toy_params(seed=19)
         docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=2, seed=5)
+        settings = TrainSettings(epochs=3, seed=5)
         train_model(params, docs[:3], assignments[:3], targets[:3],
                     docs[3:], assignments[3:], targets[3:], settings)
-        assert len(grads_seen) == 2
-        for grads in grads_seen:
-            assert [name for name, g in grads if g is not None] == []
+        assert len(grads_seen) == 3 * 3
+        for grads in grads_seen[1:]:
+            assert all(g is first for g, first in zip(grads, grads_seen[0], strict=True))
+        assert all(t.grad is None for t in params.all())
+
+    def test_text_only_leaves_structured_params_unchanged(self):
+        # text_only never reaches these, so they step on zero gradients
+        params = toy_params(seed=21)
+        before = params.snapshot()
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=2, seed=6, fusion_mode="text_only", learning_rate=0.05)
+        train_model(params, docs[:3], assignments[:3], targets[:3],
+                    docs[3:], assignments[3:], targets[3:], settings)
+        after = params.snapshot()
+        for name in ("query_proj", "tree_keys", "leaf_table", "fuse_proj"):
+            assert_bitwise(after[name], before[name])
+        assert not np.array_equal(after["word_emb"], before["word_emb"])
 
     def test_train_micro_f1_scores_in_step_probabilities(self):
         # at lr 0 no step changes the parameters, so the in-step
@@ -479,12 +495,53 @@ class TestTraining:
         splits[split][part] = data[part][:rows]
         args = [splits[name][key] for name in ("train", "validation")
                 for key in ("docs", "assignments", "targets")]
-        with pytest.raises(ValueError, match=f"{split} split: .* documents, "
+        with pytest.raises(ValueError, match=f"{split} split, .* documents, "
                                              ".* assignments, .* target rows"):
             train_model(params, *args, TrainSettings(epochs=1, seed=2))
         after = params.snapshot()
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
+
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    @pytest.mark.parametrize("part, row, value, error, message", [
+        ("docs", 1, np.array([1, TOY.vocab_size]), IndexError,
+         "document 1: token id out of range [0, 12)"),
+        ("docs", 1, np.array([-1, 2]), IndexError, "document 1: token id out of range [0, 12)"),
+        ("docs", 1, np.array([], dtype=np.int64), ValueError,
+         "document 1: cannot encode an empty document"),
+        ("docs", 1, np.array([[1, 2]]), ValueError,
+         "document 1: token ids must be 1-D, got shape (1, 2)"),
+        ("assignments", 1, np.array([3, 0]), IndexError,
+         "document 1: leaf 3 out of range [0, 3) for tree 0"),
+        ("assignments", 1, np.array([0]), ValueError,
+         "document 1: assignment length (1,) does not match 2 trees"),
+        ("assignments", 1, None, ValueError,
+         "document 1: fusion mode 'attention' needs a leaf assignment"),
+        ("assignments", None, None, ValueError,
+         "document 0: fusion mode 'attention' needs a leaf assignment"),
+        ("targets", None, np.zeros((3, 2)), ValueError,
+         "target rows need 3 labels, got shape (3, 2)"),
+    ], ids=["token_high", "token_negative", "empty", "two_d", "leaf_range",
+            "assignment_length", "assignment_missing", "no_assignments", "target_width"])
+    def test_bad_input_rejected_before_training(self, split, part, row, value, error, message):
+        # row None replaces the whole part of the split
+        params = toy_params(seed=22)
+        before = params.snapshot()
+        docs, assignments, targets = self.small_data(3)
+        splits = {name: {"docs": list(docs), "assignments": list(assignments),
+                         "targets": targets} for name in ("train", "validation")}
+        if row is None:
+            splits[split][part] = value
+        else:
+            splits[split][part][row] = value
+        args = [splits[name][key] for name in ("train", "validation")
+                for key in ("docs", "assignments", "targets")]
+        with pytest.raises(error, match=re.escape(f"{split} split, {message}")):
+            train_model(params, *args, TrainSettings(epochs=1, seed=2))
+        after = params.snapshot()
+        for name in before:
+            assert_bitwise(after[name], before[name])
+        assert all(t.grad is None for t in params.all())
 
     def test_default_precision_k_fits_a_small_label_space(self):
         # TOY has 3 labels, fewer than the default k of 5
@@ -605,9 +662,9 @@ class TestPredictMatrix:
     def test_assignment_count_must_match_documents(self):
         params = toy_params()
         docs, assignments = self.docs_and_assignments([3, 2, 4])
-        with pytest.raises(ValueError, match="2 assignments for 3 documents"):
+        with pytest.raises(ValueError, match="3 documents, 2 assignments"):
             predict_matrix(params, docs, assignments[:2], "attention")
-        with pytest.raises(ValueError, match="4 assignments for 3 documents"):
+        with pytest.raises(ValueError, match="3 documents, 4 assignments"):
             predict_matrix(params, docs, assignments + assignments[:1], "attention")
 
     def test_rejections(self):

@@ -97,11 +97,20 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # elementwise helpers
 
 
-def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) otherwise, computed
-    # without masks: exp only ever sees -|x| <= 0, so it never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid_arr(x: np.ndarray, out=None, e=None, mask=None) -> np.ndarray:
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) otherwise, as one
+    formula: exp only ever sees -|x| <= 0, so it never overflows, and since
+    e = exp(-|x|) lies in [0, 1] the numerator is ``max(e, x >= 0)``: 1
+    where x >= 0, e elsewhere, NaN for NaN. Writes into ``out`` through the
+    working arrays ``e`` (float) and ``mask`` (bool), all shaped like ``x``,
+    when given; makes all three otherwise.
+    """
+    if out is None:
+        out, e, mask = np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool)
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.copyto(out, np.greater_equal(x, 0.0, out=mask))
+    np.maximum(out, e, out=out)
+    return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +360,27 @@ def binary_cross_entropy(yhat: Tensor, target: np.ndarray) -> Tensor:
     return _finish(out, bw)
 
 
-def _lstm_step(z, c, c_out, tanh_c_out, h_out) -> np.ndarray:
-    """One LSTM step for one state (d) or a batch of states (n x d).
+def _lstm_step(z, c, gates, c_out, tanh_c_out, h_out, e, mask, ig) -> None:
+    """One LSTM step for one state (d) or a batch of states (n x d), written
+    into arrays the caller owns.
 
-    ``z`` is the packed pre-activation (... x 4d). Writes the new cell, its
-    tanh and the new hidden state into the three out arrays (``c_out`` may
-    be ``c``, and ``tanh_c_out`` may be ``h_out``) and returns the gates:
-    one sigmoid over all of ``z``, with the cell slice replaced by tanh.
+    ``z`` is the packed pre-activation (... x 4d). Writes the gates into
+    ``gates`` (one sigmoid over all of ``z``, with the cell quarter then
+    overwritten by tanh), the new cell ``f c + i g`` into ``c_out``, its tanh
+    into ``tanh_c_out`` and the new hidden state into ``h_out``. ``e``
+    (float) and ``mask`` (bool) are working arrays shaped like ``z``, ``ig``
+    one shaped like ``c``. ``c_out`` takes ``f c`` elementwise before ``i g``
+    is added from ``ig``, so ``c_out`` may be ``c``, and ``tanh_c_out`` may
+    be ``h_out``.
     """
     d = c.shape[-1]
-    g = _sigmoid_arr(z)
-    np.tanh(z[..., 2 * d : 3 * d], out=g[..., 2 * d : 3 * d])
-    c_out[...] = g[..., d : 2 * d] * c + g[..., :d] * g[..., 2 * d : 3 * d]
+    _sigmoid_arr(z, gates, e, mask)
+    i, f, g, o = (gates[..., j * d : (j + 1) * d] for j in range(4))
+    np.tanh(z[..., 2 * d : 3 * d], out=g)
+    np.multiply(f, c, out=c_out)
+    c_out += np.multiply(i, g, out=ig)
     np.tanh(c_out, out=tanh_c_out)
-    np.multiply(g[..., 3 * d :], tanh_c_out, out=h_out)
-    return g
+    np.multiply(o, tanh_c_out, out=h_out)
 
 
 def lstm_sequence(
@@ -388,13 +403,17 @@ def lstm_sequence(
     N x 4d: one sigmoid over the packed pre-activation per step, with the
     cell slice then overwritten by tanh. ``hs``/``cs`` are (N+1) x d with
     row 0 the zero initial state, so ``hs[:-1]`` holds every step's previous
-    hidden state; ``tanh_c`` is N x d. The forward output is bitwise equal to
-    evaluating the gates one slice at a time. Backward runs only the
-    recurrence in the loop: the gate-local derivatives are precomputed, each
-    step writes its pre-activation gradient into one row of ``dpre``, and
-    the weight, bias and input gradients are single products over all of
-    ``dpre`` after the loop. Those sums run in a different order from a
-    per-step accumulation, so gradients agree with it to rounding.
+    hidden state; ``tanh_c`` is N x d. Every buffer is made before the step
+    loop: step k computes ``wh @ hs[k]`` into one 4d pre-activation array,
+    adds its input projection there, and ``_lstm_step`` writes the gates,
+    cell, tanh and hidden state straight into row k of their buffers. The
+    forward output is bitwise equal to evaluating the gates one slice at a
+    time. Backward runs only the recurrence in the loop: the gate-local
+    derivatives are precomputed, each step writes its pre-activation
+    gradient into one row of ``dpre``, and the weight, bias and input
+    gradients are single products over all of ``dpre`` after the loop.
+    Those sums run in a different order from a per-step accumulation, so
+    gradients agree with it to rounding.
     """
     E = emb.data
     if E.ndim != 2:
@@ -417,8 +436,12 @@ def lstm_sequence(
     hs = np.zeros((n + 1, d))
     cs = np.zeros((n + 1, d))
     tanh_c = np.empty((n, d))
+    z, e = np.empty(4 * d), np.empty(4 * d)
+    mask, ig = np.empty(4 * d, dtype=bool), np.empty(d)
     for k in range(n):
-        gates[k] = _lstm_step(pre[k] + wh @ hs[k], cs[k], cs[k + 1], tanh_c[k], hs[k + 1])
+        np.matmul(wh, hs[k], out=z)
+        z += pre[k]
+        _lstm_step(z, cs[k], gates[k], cs[k + 1], tanh_c[k], hs[k + 1], e, mask, ig)
 
     out = Tensor(hs[:0:-1].copy() if reverse else hs[1:])
 
@@ -471,25 +494,36 @@ def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:
     of ``table`` is projected once, before the step loop, as one GEMM
     (``table @ w_input.T + bias``); pass only the rows the batch uses (its
     distinct tokens), since the projection holds len(table) x 4d floats.
-    Each step gathers its running prefix's projected rows, adds the
-    recurrent product over the running prefix of the n x d state as one
-    GEMM and writes the new hidden states to ``out[k, :a]``. ``out`` is
-    L x n x d (it may be a strided view); entries past a document's length
-    are left as they were. Takes plain arrays and records nothing on a tape.
+
+    The pre-activations, gates, cell state and the step's working arrays
+    are made once, before the step loop, at the batch's full width n; step
+    k works on the running prefix ``[:a]`` of each. It gathers the prefix's
+    projected rows with ``np.take`` (an id outside the table raises
+    IndexError), adds the recurrent product of the previous hidden states,
+    one GEMM written into the gates buffer, and runs ``_lstm_step`` in
+    place, writing the new hidden states to ``out[k, :a]``. Apart from the
+    copy of its out buffer that ``np.take``'s bounds check fills, a step
+    makes no array. ``out`` is L x n x d (it may be a strided view); entries
+    past a document's length are left as they were. Takes plain arrays and
+    records nothing on a tape.
     """
-    d = w_hidden.shape[1]
+    n, d = ids.shape[1], w_hidden.shape[1]
     # BLAS runs these few-row products faster on a contiguous transpose
     whT = np.ascontiguousarray(w_hidden.T)
     proj = table @ w_input.T
     proj += bias
-    c = np.zeros((ids.shape[1], d))
-    running = np.count_nonzero(lengths[:, None] > np.arange(ids.shape[0]), axis=0)
-    for k, a in enumerate(running):
-        z = proj[ids[k, :a]]
+    z, gates, e = (np.empty((n, 4 * d)) for _ in range(3))
+    mask = np.empty((n, 4 * d), dtype=bool)
+    c, ig = np.zeros((n, d)), np.empty((n, d))
+    for k in range(ids.shape[0]):
+        a = np.count_nonzero(lengths > k)
+        np.take(proj, ids[k, :a], axis=0, out=z[:a])
         if k:
-            z += out[k - 1, :a] @ whT
+            # the gates buffer holds the recurrent product until the step
+            # writes the gates over it
+            z[:a] += np.matmul(out[k - 1, :a], whT, out=gates[:a])
         h = out[k, :a]
-        _lstm_step(z, c[:a], c[:a], h, h)
+        _lstm_step(z[:a], c[:a], gates[:a], c[:a], h, h, e[:a], mask[:a], ig[:a])
 
 
 # ---------------------------------------------------------------------------

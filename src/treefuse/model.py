@@ -274,11 +274,15 @@ def document_loss(params: ModelParams, token_ids, assignment, target,
 
 
 # Padded token-steps (longest length x documents) per scoring batch. The
-# batch's output buffer is this many rows of d_h floats, and the input
-# projection of one direction at most this many (one per distinct token) of
-# 4 d_lstm floats; a larger budget scores a little faster but adds its
-# buffers to the peak memory of the validation pass inside training.
-_SCORE_BATCH_STEPS = 2048
+# batch's output buffer is this many rows of d_h floats (16 MiB at the
+# default dims), and the input projection of one direction at most this many
+# (one per distinct token) of 4 d_lstm floats. An LSTM step works in
+# buffers made once per scan, so a wider batch mainly gives each recurrent
+# GEMM more rows: long_text's 150-250-token documents score 32-54 to a
+# batch. The cost is memory: the benchmark's long_text peak_rss_mb reads
+# 76.4 MiB here against 75.3-75.4 MiB at a budget of 2048 (medians of 10
+# runs each, seeds 1 and 7).
+_SCORE_BATCH_STEPS = 8192
 # Padded token rows per head group. A group's buffers hold, per row, its
 # LSTM states (d_h floats), their product with the head's constants
 # (distinct tree keys + 2 n_labels), tree weights and leaf terms; heads over
@@ -338,8 +342,11 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
     cut into batches of at most ``_SCORE_BATCH_STEPS`` padded token-steps
     (a longer document is a batch of its own). A batch's distinct tokens
     are found once; each LSTM direction projects their embeddings in one
-    GEMM and runs over the batch as one ``ad.lstm_scan``, one recurrent GEMM
-    per step; the reverse direction reads each document's tokens reversed.
+    GEMM and runs over the batch as one ``ad.lstm_scan``: one recurrent GEMM
+    per step over the documents still running, and an elementwise step in
+    buffers made once per scan. The reverse direction reads each document's
+    tokens reversed. The batch cut decides how many rows each GEMM sees, so
+    it moves the probabilities by rounding only.
 
     The head runs on plain arrays over groups of whole documents of at most
     ``_HEAD_ROWS`` padded rows. It needs the fused rows M only as

@@ -93,6 +93,21 @@ def piecewise_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def allocating_lstm_step(z, c):
+    """One LSTM step on packed pre-activations ``z`` (... x 4d) and cell
+    ``c`` (... x d), every term a fresh array: the gates by the selecting
+    sigmoid ``where(z >= 0, 1, e) / (1 + e)`` with ``e = exp(-|z|)``, the
+    cell quarter then replaced by tanh. Returns (gates, cell, tanh(cell),
+    hidden state)."""
+    d = c.shape[-1]
+    e = np.exp(-np.abs(z))
+    gates = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    gates[..., 2 * d : 3 * d] = np.tanh(z[..., 2 * d : 3 * d])
+    cell = gates[..., d : 2 * d] * c + gates[..., :d] * gates[..., 2 * d : 3 * d]
+    tanh_cell = np.tanh(cell)
+    return gates, cell, tanh_cell, gates[..., 3 * d :] * tanh_cell
+
+
 def stepwise_lstm(emb, wx, wh, b, upstream, reverse=False):
     """One LSTM direction with per-step backpropagation through time.
 

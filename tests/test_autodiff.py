@@ -16,6 +16,7 @@ from treefuse.autodiff import Tape, Tensor, backward
 from oracles import (
     FD_STEP,
     adam_reference,
+    allocating_lstm_step,
     assert_bitwise,
     clip_reference,
     finite_difference_grad,
@@ -142,7 +143,12 @@ class TestElementwise:
                          [RNG.normal(size=tuple(RNG.integers(1, 5, size=2)))])
 
     def test_sigmoid_matches_piecewise_formula(self):
-        special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+        # signed zeros, subnormals, the edges of exp's underflow (exp(-745)
+        # is the last nonzero), overflow-sized inputs, infinities and NaN
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                            2.2e-308, -2.2e-308, 708.0, -708.0, 709.0, -709.0,
+                            745.0, -745.0, 746.0, -746.0, 800.0, -800.0,
+                            np.inf, -np.inf, np.nan])
         x = np.concatenate(
             [special] + [RNG.normal(size=10_000) * s for s in (1.0, 5.0, 50.0)]
         )
@@ -446,6 +452,92 @@ class TestLSTM:
             np.testing.assert_allclose(out[: lengths[j], j], want, rtol=1e-12, atol=0)
             assert np.isnan(out[lengths[j] :, j]).all()
         assert np.isnan(buf[:, :, :d_hid]).all()
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    @pytest.mark.parametrize("width", [None, 1, 3, 40])
+    def test_step_matches_allocating_reference(self, width, aliased):
+        # width None is one unbatched state, as lstm_sequence steps
+        d = 5
+        rng = np.random.default_rng([width or 0, aliased])
+        shape = () if width is None else (width,)
+        z = rng.normal(size=shape + (4 * d,)) * 3.0
+        # each special value lands in two random places of the packed gates
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0]
+        at = rng.permutation(z.size)[: 2 * len(special)]
+        z.reshape(-1)[at] = special * 2
+        # unit 0 has NaN forget and cell pre-activations, so two NaNs meet
+        # in its cell sum, and which one the sum returns follows the order
+        # of its operands
+        z[..., [d, 2 * d]] = np.nan
+        c0 = rng.normal(size=shape + (d,)) * 2.0
+        want = allocating_lstm_step(z, c0)
+        z_before = z.copy()
+
+        gates = np.empty_like(z)
+        e, mask = np.empty_like(z), np.empty(z.shape, dtype=bool)
+        ig = np.empty_like(c0)
+        c = c0.copy()
+        if aliased:
+            # as lstm_scan calls it: the cell in place, and the hidden
+            # state (a strided view) doubling as the tanh(cell) buffer
+            h = np.full(shape + (2 * d,), np.nan)[..., d:]
+            ad._lstm_step(z, c, gates, c, h, h, e, mask, ig)
+            got = gates, c, h
+            want = want[:2] + want[3:]
+        else:
+            c_new, tanh_c, h = (np.empty_like(c0) for _ in range(3))
+            ad._lstm_step(z, c, gates, c_new, tanh_c, h, e, mask, ig)
+            got = gates, c_new, tanh_c, h
+            assert_bitwise(c, c0)
+        for g, w in zip(got, want):
+            assert_bitwise(np.ascontiguousarray(g), w)
+        assert_bitwise(z, z_before)
+
+    def test_unbatched_step_makes_no_array(self):
+        # lstm_sequence's steps: one state, every gate quarter contiguous
+        d = 128
+        rng = np.random.default_rng(9)
+        z, c = rng.normal(size=4 * d), rng.normal(size=d)
+        gates, e, mask = np.empty(4 * d), np.empty(4 * d), np.empty(4 * d, dtype=bool)
+        c_new, tanh_c, h, ig = (np.empty(d) for _ in range(4))
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                ad._lstm_step(z, c, gates, c_new, tanh_c, h, e, mask, ig)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the views of the gate quarters are all it makes
+            assert peak < gates.nbytes
+
+    def test_scan_peak_memory_does_not_grow_with_steps(self):
+        # buffers are made once per scan, so 80 steps trace no more memory
+        # than 8 over the same table and batch width
+        d_in, d_hid, n = 16, 32, 4
+        rng = np.random.default_rng(8)
+        table = rng.normal(size=(9, d_in))
+        wx, wh, b = self._params(d_in, d_hid)
+        peaks = []
+        for steps in (8, 80):
+            ids = rng.integers(0, len(table), size=(steps, n))
+            lengths = np.array([steps, steps, steps - 1, 3])
+            out = np.empty((steps, n, 2 * d_hid))
+            tracemalloc.start()
+            try:
+                ad.lstm_scan(table, ids, lengths, wx, wh, b, out[:, :, :d_hid])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.isfinite(out[: lengths[-1], :, :d_hid]).all()
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0]
+
+    def test_scan_rejects_id_past_table(self):
+        table = RNG.normal(size=(5, 3))
+        wx, wh, b = self._params(3, 2)
+        ids = np.array([[0, 1], [len(table), 2]])
+        with pytest.raises(IndexError):
+            ad.lstm_scan(table, ids, np.array([2, 2]), wx, wh, b, np.empty((2, 2, 2)))
 
     def test_matches_scalar_recurrence(self):
         from oracles import scalar_lstm_states

@@ -495,18 +495,21 @@ def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:
     (``table @ w_input.T + bias``); pass only the rows the batch uses (its
     distinct tokens), since the projection holds len(table) x 4d floats.
 
-    The pre-activations, gates, cell state and the step's working arrays
-    are made once, before the step loop, at the batch's full width n; step
-    k works on the running prefix ``[:a]`` of each. It gathers the prefix's
-    projected rows with ``np.take`` (an id outside the table raises
-    IndexError), adds the recurrent product of the previous hidden states,
-    one GEMM written into the gates buffer, and runs ``_lstm_step`` in
-    place, writing the new hidden states to ``out[k, :a]``. Apart from the
-    copy of its out buffer that ``np.take``'s bounds check fills, a step
-    makes no array. ``out`` is L x n x d (it may be a strided view); entries
-    past a document's length are left as they were. Takes plain arrays and
-    records nothing on a tape.
+    An id below 0 or at least ``len(table)`` anywhere in ``ids`` raises
+    IndexError before any step runs. The pre-activations, gates, cell state
+    and the step's working arrays are made once, before the step loop, at
+    the batch's full width n; step k works on the running prefix ``[:a]``
+    of each. It gathers the prefix's projected rows with ``np.take``, adds
+    the recurrent product of the previous hidden states, one GEMM written
+    into the gates buffer, and runs ``_lstm_step`` in place, writing the
+    new hidden states to ``out[k, :a]``. A step makes no array. ``out`` is
+    L x n x d (it may be a strided view); entries past a document's length
+    are left as they were. Takes plain arrays and records nothing on a
+    tape.
     """
+    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
+        raise IndexError(f"lstm_scan ids must lie in [0, {len(table)}), "
+                         f"got {ids.min()}..{ids.max()}")
     n, d = ids.shape[1], w_hidden.shape[1]
     # BLAS runs these few-row products faster on a contiguous transpose
     whT = np.ascontiguousarray(w_hidden.T)
@@ -517,7 +520,9 @@ def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:
     c, ig = np.zeros((n, d)), np.empty((n, d))
     for k in range(ids.shape[0]):
         a = np.count_nonzero(lengths > k)
-        np.take(proj, ids[k, :a], axis=0, out=z[:a])
+        # the ids were checked above, and "clip" writes straight into the
+        # out buffer where the default mode fills a copy of it first
+        np.take(proj, ids[k, :a], axis=0, out=z[:a], mode="clip")
         if k:
             # the gates buffer holds the recurrent product until the step
             # writes the gates over it

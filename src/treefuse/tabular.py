@@ -231,39 +231,43 @@ def build_feature_table(record_sets) -> tuple[FeatureTable, FeatureSchema]:
 # ---------------------------------------------------------------------------
 # Disk formats: three JSONL inputs per split and a JSON schema.
 
+_TIMESERIES_SPEC = {"admission_id": Id, "class_id": Id,
+                    "timestamp": FiniteNumber, "value": FiniteNumber}
+_EVENT_SPEC = {"admission_id": Id, "category": object, "item_id": Id}
+_SINGLETON_SPEC = {"admission_id": Id, "field": Id, "value": FiniteNumber | str | bool | None}
+
+
+class _ByAdmission(dict):
+    """admission id -> its StructuredRecordSet, made on the id's first lookup."""
+
+    def __missing__(self, aid: str) -> StructuredRecordSet:
+        rs = self[aid] = StructuredRecordSet(admission_id=aid)
+        return rs
+
+
 def load_record_sets(timeseries_path, events_path, singletons_path) -> list[StructuredRecordSet]:
     """Group the three record files by admission.
 
     Admissions are ordered by first appearance scanning the time-series,
     event, and singleton files in that order. Every id (admission, class,
     item, field) is a string or an integer, read as its string; timestamps
-    must be finite but are not kept.
+    must be finite but are not kept. ``read_jsonl`` checks each file's
+    records; a record failing that check, or an event of an unknown
+    category, raises RecordError.
     """
-    by_id: dict[str, StructuredRecordSet] = {}
-
-    def get(aid) -> StructuredRecordSet:
-        aid = str(aid)
-        if aid not in by_id:
-            by_id[aid] = StructuredRecordSet(admission_id=aid)
-        return by_id[aid]
-
-    for rec in read_jsonl(timeseries_path, RecordError, {
-            "admission_id": Id, "class_id": Id,
-            "timestamp": FiniteNumber, "value": FiniteNumber}):
-        rs = get(rec["admission_id"])
-        rs.time_series.setdefault(str(rec["class_id"]), []).append(float(rec["value"]))
-    for rec in read_jsonl(events_path, RecordError, {
-            "admission_id": Id, "category": object, "item_id": Id}):
+    by_id = _ByAdmission()
+    for rec in read_jsonl(timeseries_path, RecordError, _TIMESERIES_SPEC):
+        series = by_id[str(rec["admission_id"])].time_series
+        series.setdefault(str(rec["class_id"]), []).append(float(rec["value"]))
+    for rec in read_jsonl(events_path, RecordError, _EVENT_SPEC):
         category = str(rec["category"])
         if category not in MULTIVALUED_CATEGORIES:
             raise RecordError(
                 f"admission {rec['admission_id']}: unknown event category {category!r}"
             )
-        get(rec["admission_id"]).multivalued.append((category, str(rec["item_id"])))
-    for rec in read_jsonl(singletons_path, RecordError, {
-            "admission_id": Id, "field": Id,
-            "value": FiniteNumber | str | bool | None}):
-        get(rec["admission_id"]).singletons[str(rec["field"])] = rec["value"]
+        by_id[str(rec["admission_id"])].multivalued.append((category, str(rec["item_id"])))
+    for rec in read_jsonl(singletons_path, RecordError, _SINGLETON_SPEC):
+        by_id[str(rec["admission_id"])].singletons[str(rec["field"])] = rec["value"]
     return list(by_id.values())
 
 

@@ -535,9 +535,11 @@ class TestLSTM:
     def test_scan_rejects_id_past_table(self):
         table = RNG.normal(size=(5, 3))
         wx, wh, b = self._params(3, 2)
-        ids = np.array([[0, 1], [len(table), 2]])
-        with pytest.raises(IndexError):
-            ad.lstm_scan(table, ids, np.array([2, 2]), wx, wh, b, np.empty((2, 2, 2)))
+        # np.take on its own would wrap -1 around to the table's last row
+        for bad in (len(table), -1):
+            ids = np.array([[0, 1], [bad, 2]])
+            with pytest.raises(IndexError):
+                ad.lstm_scan(table, ids, np.array([2, 2]), wx, wh, b, np.empty((2, 2, 2)))
 
     def test_matches_scalar_recurrence(self):
         from oracles import scalar_lstm_states

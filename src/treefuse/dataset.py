@@ -191,11 +191,21 @@ def read_jsonl(path, error: type[ValueError], required: dict):
     all of them pass. A block holding a line that does not parse or a
     record that fails the check is decoded and checked again line by line,
     each record yielded once it passes, so the first fault in file order
-    raises ``error`` naming ``path:line``, after the records above it.
+    raises ``error`` naming ``path:line``, after the records above it. A
+    line that is not UTF-8 is such a fault too.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = 1
-        for lines in iter(lambda: list(map(str.strip, islice(fh, _BLOCK_LINES))), []):
+        while True:
+            try:
+                lines = list(map(str.strip, islice(fh, _BLOCK_LINES)))
+            except UnicodeDecodeError:
+                # the decoder reads ahead of the lines, so find the line anew
+                lines, lineno, exc = _utf8_fault(path, first)
+                yield from _checked_lines(lines, first, path, error, required)
+                raise error(f"{path}:{lineno}: bad record: {exc}") from exc
+            if not lines:
+                return
             try:
                 block = [_decode(line) for line in lines if line]
             except json.JSONDecodeError:
@@ -205,18 +215,42 @@ def read_jsonl(path, error: type[ValueError], required: dict):
                 # the next block is decoded with this one freed
                 del block
             else:
-                for lineno, line in enumerate(lines, start=first):
-                    if not line:
-                        continue
-                    try:
-                        rec = _decode(line)
-                        check(rec, required, "record")
-                    except json.JSONDecodeError as exc:
-                        raise error(f"{path}:{lineno}: bad record: {exc}") from exc
-                    except DatasetError as exc:
-                        raise error(f"{path}:{lineno}: {exc}") from None
-                    yield rec
+                yield from _checked_lines(lines, first, path, error, required)
             first += len(lines)
+
+
+def _checked_lines(lines: list[str], first: int, path, error: type[ValueError],
+                   required: dict):
+    """Decode and ``check`` each nonblank one of ``lines``, line ``first``
+    of ``path`` onwards, yielding its record once it passes."""
+    for lineno, line in enumerate(lines, start=first):
+        if not line:
+            continue
+        try:
+            rec = _decode(line)
+            check(rec, required, "record")
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}:{lineno}: bad record: {exc}") from exc
+        except DatasetError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
+        yield rec
+
+
+def _utf8_fault(path, first: int) -> tuple[list[str], int, UnicodeDecodeError]:
+    """The first line of ``path``, from line ``first`` on, whose bytes are
+    not UTF-8: the stripped lines before it, its number and its error."""
+    lines = []
+    # surrogateescape keeps the bad bytes, and the lines split as in read_jsonl
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno < first:
+                continue
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lines, lineno, exc
+            lines.append(line.strip())
+    raise AssertionError(f"{path} decodes as UTF-8 line by line")
 
 
 _NOTE_SPEC = {"admission_id": Id, "text": str}

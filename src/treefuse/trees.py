@@ -10,6 +10,13 @@ Feature matrices are float64 with NaN marking missing cells. Missing rows
 are routed to whichever child gives the higher split gain, and that default
 direction is stored on the node.
 
+Training sorts each column once, a stable sort with NaN last. A node holds,
+for every column, its rows in that column's order together with their
+values and targets; a child keeps its parent's arrays filtered to its own
+rows, which keeps the order, so no node sorts again. A node's split search
+scores only the real cuts, between adjacent distinct present values of a
+column, with their midpoint as the threshold.
+
 An ensemble file (format version 2) holds ``format_version``, the training
 ``config``, ``n_features`` and ``trees``: tree t, the tree of label t, is
 its preorder node list. A node is ``{"kind": "split", "column",
@@ -31,6 +38,7 @@ from .dataset import FiniteNumber, Integer, check, json_sha256, read_json, write
 # Boosting starts from a constant half-probability model, so the logistic
 # gradient is p0 - y and the hessian p0* (1 - p0).
 BASE_PROB = 0.5
+HESSIAN = BASE_PROB * (1.0 - BASE_PROB)
 
 FORMAT_VERSION = 2
 
@@ -90,82 +98,108 @@ class TreeEnsemble:
     n_features: int
 
 
-def _best_split(
-    features: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    config: TreeTrainConfig,
-):
-    """Exact greedy search over (column, midpoint threshold, default side),
-    scoring every candidate of every column in one array.
+def _column_order(features: np.ndarray) -> np.ndarray:
+    """Each column's row indices in ascending value order, NaN last, as a
+    columns x rows array. The sort is stable, so equal values keep row
+    order."""
+    return np.argsort(features.T, axis=1, kind="stable")
 
-    Returns (gain, column, threshold, default_left) for the best candidate
-    with gain > 0, or None. Ties keep the first candidate in scan order:
-    lowest column, then smallest threshold, then default left.
+
+def _best_split(xs: np.ndarray, ys: np.ndarray, config: TreeTrainConfig):
+    """Exact greedy search over (column, midpoint threshold, default side)
+    at one node, scoring every real cut of every column in one array.
+
+    xs holds each column's values at the node in ascending order, NaN last
+    (columns x rows); ys holds the node's 0/1 targets in the same order. A
+    real cut lies between adjacent distinct present values of a column, and
+    its threshold is their midpoint. Returns (gain, column, threshold,
+    default_left) for the best candidate with gain > 0, or None. Ties keep
+    the first candidate in scan order: lowest column, then smallest
+    threshold, then default left.
     """
-    lam = config.l2_lambda
-    g_total = g[rows].sum()
-    h_total = h[rows].sum()
-    parent = g_total * g_total / (h_total + lam)
-    n_rows = len(rows)
-
-    # Each column's rows in value order, NaN last; cg[c, k] sums g over the
-    # first k. Candidate (c, i) cuts column c between sorted rows i and i + 1.
-    x = features[rows].T
-    cols = np.arange(len(x))[:, None]
-    order = np.argsort(x, axis=1, kind="stable")
-    xs = x[cols, order]
-    cg = np.zeros((len(x), n_rows + 1))
-    ch = np.zeros((len(x), n_rows + 1))
-    np.cumsum(g[rows[order]], axis=1, out=cg[:, 1:])
-    np.cumsum(h[rows[order]], axis=1, out=ch[:, 1:])
-    n_present = n_rows - np.isnan(x).sum(axis=1, keepdims=True)
-    g_missing = g_total - cg[cols, n_present]
-    h_missing = h_total - ch[cols, n_present]
-    with np.errstate(over="ignore"):
-        thr = (xs[:, :-1] + xs[:, 1:]) / 2.0
-    is_cut = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, n_rows) < n_present)
-    if not is_cut.any():
+    n_cols, n_rows = xs.shape
+    flat = xs.ravel()
+    # NaN compares false, so only present, strictly rising pairs are cuts
+    is_cut = flat[1:] > flat[:-1]
+    is_cut[n_rows - 1::n_rows] = False  # pairs that span two columns
+    at = np.flatnonzero(is_cut)
+    if not len(at):
         return None
-    # Count left rows by the literal comparison used at inference time; for
-    # adjacent floats the midpoint can round onto an endpoint.
-    k = np.array([v.searchsorted(t) for v, t in zip(xs, thr)])
+    col, n_left = np.divmod(at, n_rows)
+    start = at - n_left
+    lo = flat[at]
+    thr = flat[at + 1]
+    with np.errstate(over="ignore"):
+        thr += lo
+    thr /= 2.0
+    # Present rows left of a cut: those up to its lower value, unless the
+    # midpoint of adjacent floats rounded onto that value or overflowed to
+    # +-inf. Those are counted by the comparison used at inference time.
+    n_left += 1
+    odd = np.flatnonzero((thr == lo) | np.isinf(thr))
+    if len(odd):
+        n_left[odd] = np.count_nonzero(xs[col[odd]] < thr[odd, None], axis=1)
 
-    gk = cg[cols, k]
-    hk = ch[cols, k]
-    # Last axis: default left (missing rows join the left child), then right.
-    g_left = np.stack([gk + g_missing, gk], axis=-1)
-    h_left = np.stack([hk + h_missing, hk], axis=-1)
-    n_left = np.stack([k + (n_rows - n_present), k], axis=-1)
-    g_right = g_total - g_left
+    # pos[p] counts the positives among the first p cells of ``flat``; every
+    # column holds the node's n_pos positives
+    pos = np.zeros(len(flat) + 1)
+    np.cumsum(ys.ravel(), out=pos[1:])
+    n_pos = pos[n_rows]
+    n_present = n_rows - np.isnan(xs).sum(axis=1)
+    # columns 0..c hold (c + 1) * n_pos positives; those after column c's
+    # present cells are its missing rows'
+    pos_missing = n_pos * np.arange(1, n_cols + 1) - pos[np.arange(n_cols) * n_rows + n_present]
+    # Candidates by side: row 0 sends the column's missing rows left
+    # (default left), row 1 sends them right.
+    rows_left = np.empty((2, len(at)))
+    rows_left[:] = n_left
+    rows_left[0] += (n_rows - n_present)[col]
+    pos_left = np.empty_like(rows_left)
+    pos_left[:] = pos[start + n_left] - pos[start]
+    pos_left[0] += pos_missing[col]
+    mcr = config.min_child_rows
+    too_small = (rows_left < mcr) | (rows_left > n_rows - mcr)
+
+    # With 0/1 targets every g = BASE_PROB - y and h = HESSIAN, so each g/h
+    # sum is a count times a power of two: exact, the float a running sum
+    # over the rows would give. The gain
+    #   0.5 * (g_l * g_l / (h_l + lam) + g_r * g_r / (h_r + lam) - parent)
+    # is then evaluated in place, operation by operation in that order.
+    lam = config.l2_lambda
+    g_total = BASE_PROB * n_rows - n_pos
+    h_total = HESSIAN * n_rows
+    parent = g_total * g_total / (h_total + lam)
+    g_left = BASE_PROB * rows_left
+    g_left -= pos_left
+    g_right = np.subtract(g_total, g_left, out=pos_left)
+    h_left = np.multiply(HESSIAN, rows_left, out=rows_left)
     h_right = h_total - h_left
+    h_left += lam
+    h_right += lam
+    g_left *= g_left
+    g_right *= g_right
     # With l2_lambda = 0 an empty child divides 0 by 0; such candidates are masked below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = 0.5 * (g_left * g_left / (h_left + lam) + g_right * g_right / (h_right + lam)
-                      - parent)
-    mcr = config.min_child_rows
-    gain[~is_cut[..., None] | (n_left < mcr) | (n_rows - n_left < mcr)] = 0.0
-    best = np.unravel_index(np.argmax(gain), gain.shape)
-    if gain[best] <= 0.0:
+        g_left /= h_left
+        g_right /= h_right
+    gain = g_left
+    gain += g_right
+    gain -= parent
+    gain *= 0.5
+    gain[too_small] = 0.0
+    # Each side's first best cut; a tie between them goes to the lower cut,
+    # then to default left.
+    best = gain.argmax(axis=1)
+    side = 0 if (gain[0, best[0]], -best[0]) >= (gain[1, best[1]], -best[1]) else 1
+    cut = best[side]
+    if gain[side, cut] <= 0.0:
         return None
-    col, i, side = best
-    return gain[best], int(col), thr[col, i], bool(side == 0)
+    return gain[side, cut], int(col[cut]), thr[cut], side == 0
 
 
-def train_tree(
-    features: np.ndarray,
-    targets: np.ndarray,
-    config: TreeTrainConfig | None = None,
-) -> DecisionTree:
-    """Train one second-order regression tree against a binary target.
-
-    features: rows x columns float64, finite or NaN for missing. A label with
-    fewer than config.min_positives positive rows yields a single-leaf tree
-    whose weight is fitted on all rows.
-    """
-    if config is None:
-        config = TreeTrainConfig()
+def _feature_table(features) -> np.ndarray:
+    """``features`` as a float64 rows x columns array, refused unless it has
+    a row and every cell is finite or NaN."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {features.shape}")
@@ -174,16 +208,58 @@ def train_tree(
     if np.isinf(features).any():
         # a -inf/+inf pair would have a NaN midpoint threshold
         raise ValueError("feature matrix has an infinite cell; only NaN marks missing")
+    return features
+
+
+def _check_binary(targets: np.ndarray) -> None:
+    """Refuse a target outside {0, 1}, naming its row and, in a label
+    matrix, its label column."""
+    bad = np.argwhere((targets != 0.0) & (targets != 1.0))
+    if len(bad):
+        where = f"row {bad[0][0]}" + (f", label column {bad[0][1]}" if targets.ndim == 2 else "")
+        raise ValueError(f"{where}: target {targets[tuple(bad[0])]} is not 0 or 1")
+
+
+def train_tree(
+    features: np.ndarray,
+    targets: np.ndarray,
+    config: TreeTrainConfig | None = None,
+    *,
+    order: np.ndarray | None = None,
+) -> DecisionTree:
+    """Train one second-order regression tree against a 0/1 target.
+
+    features: rows x columns float64, finite or NaN for missing. A label with
+    fewer than config.min_positives positive rows yields a single-leaf tree
+    whose weight is fitted on all rows.
+
+    The columns are sorted once: ``order`` is ``_column_order(features)``,
+    made here unless the caller passes it. Each node holds every column's
+    rows, values and targets in that order; a child keeps its parent's
+    order, filtered to its own rows, so no node sorts again.
+    """
+    if config is None:
+        config = TreeTrainConfig()
+    features = _feature_table(features)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (features.shape[0],):
         raise ValueError(
             f"targets shape {targets.shape} does not match {features.shape[0]} rows"
         )
+    _check_binary(targets)
+    if order is None:
+        order = _column_order(features)
+    elif order.shape != features.shape[::-1]:
+        raise ValueError(f"column order shape {order.shape} does not match features "
+                         f"{features.shape}")
 
     g = BASE_PROB - targets
-    h = np.full(len(targets), BASE_PROB * (1.0 - BASE_PROB))
+    h = np.full(len(targets), HESSIAN)
     tree = DecisionTree()
     leaf_ids = count()
+    n_cols = features.shape[1]
+    # a split's side for each row; a node writes its own rows before reading them
+    goes_left = np.empty(len(targets), dtype=bool)
 
     def make_leaf(rows: np.ndarray) -> int:
         idx = len(tree.nodes)
@@ -193,22 +269,27 @@ def train_tree(
         tree.nodes.append(TreeNode(leaf_id=next(leaf_ids), weight=weight))
         return idx
 
-    def build(rows: np.ndarray, depth: int) -> int:
-        if depth >= config.max_depth:
-            return make_leaf(rows)
-        split = _best_split(features, g, h, rows, config)
+    def build(rows, order, xs, ys, depth: int) -> int:
+        split = _best_split(xs, ys, config) if depth < config.max_depth else None
         if split is None:
             return make_leaf(rows)
         _, col, thr, default_left = split
-        v = features[rows, col]
-        goes_left = np.where(np.isnan(v), default_left, v < thr)
+        v = xs[col]
+        goes_left[order[col]] = np.where(np.isnan(v), default_left, v < thr)
+        left = goes_left[order].ravel()
+        row_left = goes_left[rows]
         idx = len(tree.nodes)
         tree.nodes.append(TreeNode())
-        left = build(rows[goes_left], depth + 1)
-        right = build(rows[~goes_left], depth + 1)
+
+        def child(keep, row_keep):
+            return build(rows[row_keep], *(np.compress(keep, a.ravel()).reshape(n_cols, -1)
+                                           for a in (order, xs, ys)), depth + 1)
+
+        left_idx = child(left, row_left)
+        right_idx = child(~left, ~row_left)
         tree.nodes[idx] = TreeNode(
             column=col, threshold=thr, default_left=default_left,
-            left=left, right=right,
+            left=left_idx, right=right_idx,
         )
         return idx
 
@@ -216,7 +297,7 @@ def train_tree(
     if int(targets.sum()) < config.min_positives:
         make_leaf(all_rows)
     else:
-        build(all_rows, 0)
+        build(all_rows, order, np.take_along_axis(features.T, order, axis=1), targets[order], 0)
     return tree
 
 
@@ -225,17 +306,20 @@ def train_ensemble(
     label_matrix: np.ndarray,
     config: TreeTrainConfig | None = None,
 ) -> TreeEnsemble:
-    """Train one tree per label column, one-versus-all."""
+    """Train one tree per label column, one-versus-all, over columns sorted
+    once for all of them."""
     if config is None:
         config = TreeTrainConfig()
-    features = np.asarray(features, dtype=np.float64)
+    features = _feature_table(features)
     label_matrix = np.asarray(label_matrix, dtype=np.float64)
     if label_matrix.ndim != 2 or label_matrix.shape[0] != features.shape[0]:
         raise ValueError(
             f"label matrix shape {label_matrix.shape} does not match "
             f"{features.shape[0]} feature rows"
         )
-    trees = [train_tree(features, label_matrix[:, t], config)
+    _check_binary(label_matrix)
+    order = _column_order(features)
+    trees = [train_tree(features, label_matrix[:, t], config, order=order)
              for t in range(label_matrix.shape[1])]
     return TreeEnsemble(trees=trees, config=config, n_features=features.shape[1])
 

@@ -213,6 +213,102 @@ def enumerate_best_split(
     return gain, col, thr, default_left
 
 
+def reference_best_split(features, g, h, rows, config):
+    """The split search of the node holding ``rows``, sorting every column
+    of ``features[rows]`` afresh and counting each midpoint's left rows
+    with one ``searchsorted`` per column.
+
+    Returns (gain, column, threshold, default_left) for the best candidate
+    with gain > 0, or None, under the tie rule: lowest column, then smallest
+    threshold, then default left.
+    """
+    lam = config.l2_lambda
+    g_total = g[rows].sum()
+    h_total = h[rows].sum()
+    parent = g_total * g_total / (h_total + lam)
+    n_rows = len(rows)
+
+    # Each column's rows in value order, NaN last; cg[c, k] sums g over the
+    # first k. Candidate (c, i) cuts column c between sorted rows i and i + 1.
+    x = features[rows].T
+    cols = np.arange(len(x))[:, None]
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = x[cols, order]
+    cg = np.zeros((len(x), n_rows + 1))
+    ch = np.zeros((len(x), n_rows + 1))
+    np.cumsum(g[rows[order]], axis=1, out=cg[:, 1:])
+    np.cumsum(h[rows[order]], axis=1, out=ch[:, 1:])
+    n_present = n_rows - np.isnan(x).sum(axis=1, keepdims=True)
+    g_missing = g_total - cg[cols, n_present]
+    h_missing = h_total - ch[cols, n_present]
+    with np.errstate(over="ignore"):
+        thr = (xs[:, :-1] + xs[:, 1:]) / 2.0
+    is_cut = (xs[:, :-1] != xs[:, 1:]) & (np.arange(1, n_rows) < n_present)
+    if not is_cut.any():
+        return None
+    # Left rows by the literal comparison used at inference time; for
+    # adjacent floats the midpoint can round onto an endpoint.
+    k = np.array([v.searchsorted(t) for v, t in zip(xs, thr)])
+
+    gk = cg[cols, k]
+    hk = ch[cols, k]
+    # Last axis: default left (missing rows join the left child), then right.
+    g_left = np.stack([gk + g_missing, gk], axis=-1)
+    h_left = np.stack([hk + h_missing, hk], axis=-1)
+    n_left = np.stack([k + (n_rows - n_present), k], axis=-1)
+    g_right = g_total - g_left
+    h_right = h_total - h_left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 0.5 * (g_left * g_left / (h_left + lam) + g_right * g_right / (h_right + lam)
+                      - parent)
+    mcr = config.min_child_rows
+    gain[~is_cut[..., None] | (n_left < mcr) | (n_rows - n_left < mcr)] = 0.0
+    best = np.unravel_index(np.argmax(gain), gain.shape)
+    if gain[best] <= 0.0:
+        return None
+    col, i, side = best
+    return gain[best], int(col), thr[col, i], bool(side == 0)
+
+
+def reference_train_tree(features, targets, config) -> list[dict]:
+    """One tree grown by recursion over row subsets, each node searched by
+    ``reference_best_split``, from a half-probability start (g = 0.5 - y,
+    h = 0.25). Returns the preorder node list in the ensemble file's form."""
+    g = 0.5 - targets
+    h = np.full(len(targets), 0.25)
+    nodes = []
+
+    def make_leaf(rows):
+        leaf_id = sum(node["kind"] == "leaf" for node in nodes)
+        weight = -config.learning_rate * g[rows].sum() / (h[rows].sum() + config.l2_lambda)
+        nodes.append({"kind": "leaf", "leaf_id": leaf_id, "weight": float(weight)})
+
+    def build(rows, depth):
+        split = None
+        if depth < config.max_depth:
+            split = reference_best_split(features, g, h, rows, config)
+        if split is None:
+            make_leaf(rows)
+            return
+        _, col, thr, default_left = split
+        v = features[rows, col]
+        goes_left = np.where(np.isnan(v), default_left, v < thr)
+        node = {"kind": "split", "column": col, "threshold": float(thr),
+                "default_left": default_left}
+        nodes.append(node)
+        node["left"] = len(nodes)
+        build(rows[goes_left], depth + 1)
+        node["right"] = len(nodes)
+        build(rows[~goes_left], depth + 1)
+
+    rows = np.arange(len(targets))
+    if int(targets.sum()) < config.min_positives:
+        make_leaf(rows)
+    else:
+        build(rows, 0)
+    return nodes
+
+
 def route_row(tree, row: np.ndarray):
     """Walk a float64 row array from the root to its leaf node, one numpy
     scalar comparison per node (NaN takes the node's default side)."""

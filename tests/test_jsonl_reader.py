@@ -162,6 +162,25 @@ class TestFaultLocation:
         assert yielded == line_index - 1
 
 
+@pytest.mark.parametrize("name, error", [("notes", DatasetError), ("timeseries", RecordError)])
+@pytest.mark.parametrize("bad_line", [2, 300, 700], ids=["block-1", "block-2", "block-3"])
+def test_non_utf8_line_names_file_and_line(tmp_path, name, error, bad_line):
+    # the text decoder reads ahead, so line 300 fails while block 1 is read;
+    # line 700 fails in a later block
+    line = json.dumps(SAMPLES[name]).encode()
+    lines = [line] * 800
+    lines[bad_line - 1] = line.replace(b'"a"', b'"\xff"', 1)
+    path = tmp_path / f"{name}.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    yielded = 0
+    with pytest.raises(error, match=re.escape(f"{name}.jsonl:{bad_line}: bad record: "
+                                              "'utf-8' codec can't decode byte 0xff")):
+        for _ in read_jsonl(path, error, SPECS[name]):
+            yielded += 1
+    # every record above the fault was yielded first
+    assert yielded == bad_line - 1
+
+
 def test_reading_holds_one_block_of_records_at_a_time(tmp_path):
     # an 8-block file peaks no higher than a 1-block file plus one block of
     # decoded records

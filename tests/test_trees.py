@@ -1,5 +1,6 @@
-"""Tree training checks: worked examples, structural invariants, and an
-exhaustive split-enumeration oracle on small random tables."""
+"""Tree training checks: worked examples, structural invariants, an
+exhaustive split-enumeration oracle on small random tables, and a reference
+trainer that sorts every node afresh."""
 
 import json
 import re
@@ -24,7 +25,7 @@ from treefuse.trees import (
     train_tree,
 )
 
-from oracles import enumerate_best_split, route_row as numpy_route_row
+from oracles import enumerate_best_split, reference_train_tree, route_row as numpy_route_row
 
 RNG = np.random.default_rng(20240818)
 
@@ -102,6 +103,17 @@ class TestWorkedExamples:
         with pytest.raises(ValueError, match="infinite"):
             train_tree(x, np.array([0.0, 1.0, 1.0]), TreeTrainConfig(min_positives=0))
 
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan])
+    def test_non_binary_target_rejected_naming_row(self, bad):
+        y = np.array([0.0, 1.0, 0.0, bad, 1.0])
+        with pytest.raises(ValueError, match=re.escape(f"row 3: target {bad} is not 0 or 1")):
+            train_tree(RNG.normal(size=(5, 2)), y, TreeTrainConfig(min_positives=0))
+
+    def test_column_order_of_another_table_rejected(self):
+        with pytest.raises(ValueError, match="column order shape"):
+            train_tree(np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]),
+                       order=tr._column_order(np.zeros((4, 3))))
+
     def test_min_child_rows_blocks_small_children(self):
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
@@ -124,14 +136,20 @@ def random_table(rng):
     return x, y
 
 
+def node_columns(x, y, rows):
+    """Each column's values and targets at the node holding ``rows``, in
+    the trainer's order: the table's column order filtered to those rows."""
+    order = tr._column_order(x)
+    order = order[np.isin(order, rows)].reshape(x.shape[1], -1)
+    return np.take_along_axis(x.T, order, axis=1), y[order]
+
+
 def check_against_oracle(x, y, min_child_rows=1, rows=None):
     """_best_split at the node holding ``rows`` equals the oracle on x[rows]:
     same column, threshold and default side, and a bitwise-equal gain."""
     rows = np.arange(len(y)) if rows is None else rows
-    g = tr.BASE_PROB - y
-    h = np.full(len(y), tr.BASE_PROB * (1.0 - tr.BASE_PROB))
     cfg = TreeTrainConfig(min_child_rows=min_child_rows)
-    found = tr._best_split(x, g, h, rows, cfg)
+    found = tr._best_split(*node_columns(x, y, rows), cfg)
     with np.errstate(over="ignore"):
         expected = enumerate_best_split(x[rows], y[rows], lam=1.0,
                                         min_child_rows=min_child_rows)
@@ -232,9 +250,7 @@ class TestSplitOracle:
         checked = 0
         for _ in range(60):
             x, y = random_table(rng)
-            g = tr.BASE_PROB - y
-            h = np.full(len(y), tr.BASE_PROB * (1.0 - tr.BASE_PROB))
-            found = tr._best_split(x, g, h, np.arange(len(y)), cfg)
+            found = tr._best_split(*node_columns(x, y, np.arange(len(y))), cfg)
             expected = enumerate_best_split(x, y, lam=1.0, min_child_rows=1)
             if found is None or expected is None:
                 assert (found is None) == (expected is None)
@@ -242,6 +258,60 @@ class TestSplitOracle:
             assert found[0] == expected[0], "gain values differ bitwise"
             checked += 1
         assert checked > 20
+
+
+# Repeated values, adjacent floats (whose midpoints round onto an endpoint),
+# signed zeros, values whose midpoints overflow to +-inf, and missing cells.
+_ONE_UP = np.nextafter(1.0, 2.0)
+TABLE_VALUES = [1.0, _ONE_UP, np.nextafter(_ONE_UP, 2.0), 0.0, -0.0, -2.5,
+                1.6e308, 1.7e308, -1.6e308, -1.7e308, np.nan]
+
+
+@st.composite
+def tree_tables(draw):
+    """A 1-12 row table of 1-4 columns, each column drawn cell by cell,
+    constant, or all missing, and 0/1 targets."""
+    n = draw(st.integers(1, 12))
+    cell = st.one_of(st.sampled_from(TABLE_VALUES),
+                     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["cells", "constant", "missing"]))
+        if kind == "cells":
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+        else:
+            columns.append([np.nan if kind == "missing" else draw(cell)] * n)
+    targets = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    return np.array(columns).T, np.array(targets)
+
+
+def assert_matches_reference(x, y, cfg):
+    got = ensemble_to_dict(TreeEnsemble([train_tree(x, y, cfg)], cfg, x.shape[1]))
+    with np.errstate(over="ignore"):
+        want = reference_train_tree(x, y, cfg)
+    # the JSON text compares every float by its exact repr, signed zeros too
+    assert json.dumps(got["trees"][0], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+class TestReferenceTrainer:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_tables(), st.integers(1, 3), st.integers(0, 6))
+    def test_node_lists_match_reference(self, table, min_child_rows, max_depth):
+        x, y = table
+        assert_matches_reference(x, y, TreeTrainConfig(
+            max_depth=max_depth, min_child_rows=min_child_rows, min_positives=0))
+
+    def test_deeper_trees_match_reference(self):
+        # up to ten times the rows the property draws, for deeper trees
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            n = int(rng.integers(30, 120))
+            x = np.column_stack([rng.choice(TABLE_VALUES, size=n),
+                                 rng.integers(0, 4, size=n).astype(np.float64),
+                                 rng.normal(size=n)])
+            x[rng.uniform(size=x.shape) < 0.2] = np.nan
+            y = rng.integers(0, 2, size=n).astype(np.float64)
+            assert_matches_reference(x, y, TreeTrainConfig(max_depth=6, min_positives=0))
 
 
 def subtree_depth(tree, idx):
@@ -321,6 +391,14 @@ class TestEnsemble:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train_ensemble(np.zeros((4, 2)), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan])
+    def test_non_binary_target_rejected_naming_row_and_label(self, bad):
+        labels = RNG.integers(0, 2, size=(6, 3)).astype(np.float64)
+        labels[4, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"row 4, label column 2: target {bad} is not 0 or 1")):
+            train_ensemble(RNG.normal(size=(6, 2)), labels, TreeTrainConfig(min_positives=0))
 
 
 class TestLeafPlumbing:

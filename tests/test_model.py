@@ -442,6 +442,24 @@ class TestTraining:
             assert all(g is first for g, first in zip(grads, grads_seen[0], strict=True))
         assert all(t.grad is None for t in params.all())
 
+    def test_frees_heap_once_optimizer_state_is_gone(self, monkeypatch):
+        # training hands its freed memory back once, at the end, after the
+        # parameters have dropped their gradient buffers
+        released, release = [], tm._release_free_heap
+
+        def spy():
+            released.append([t.grad for t in params.all()])
+            release()
+
+        monkeypatch.setattr(tm, "_release_free_heap", spy)
+        params = toy_params(seed=19)
+        docs, assignments, targets = self.small_data(4)
+        settings = TrainSettings(epochs=2, seed=5)
+        train_model(params, docs[:3], assignments[:3], targets[:3],
+                    docs[3:], assignments[3:], targets[3:], settings)
+        assert len(released) == 1
+        assert all(g is None for g in released[0])
+
     def test_text_only_leaves_structured_params_unchanged(self):
         # text_only never reaches these, so they step on zero gradients
         params = toy_params(seed=21)

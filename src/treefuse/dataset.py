@@ -13,8 +13,10 @@ a spec that maps each key it must hold to a type: a class, a union,
 ``Integer``, ``FiniteNumber``, ``Id``, ``list[T]``, ``dict[str, T]`` or, for a
 format version, ``Literal[v]``. Every line-delimited record file is
 written by ``write_jsonl``, and ``read_jsonl`` holds each of its records to a
-spec of the same kind, tested a block of records at a time. Each artefact
-states its spec once, beside its reader.
+spec of the same kind, tested a block of records at a time. A record line
+ends at ``\\n`` only (a lone ``\\r`` does not end one), and is UTF-8; a
+block that fails in any way is read again line by line, which names the
+first faulty line. Each artefact states its spec once, beside its reader.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ _LITERAL = type(Literal[0])
 # grows with the block: by 2.4 MiB on wide_tabular at 4096 lines, by 0.3 MiB
 # on lift at 512, by none measurable at 256. 128 lines read more slowly.
 _BLOCK_LINES = 256
+# What decoding a record line raises: bytes that are not UTF-8, text that is
+# not JSON, an integer past int's digit limit, nesting past the recursion limit
+_UNDECODABLE = (ValueError, RecursionError)
 
 
 class _SpecType(type):
@@ -144,6 +149,17 @@ def _check_block(block: list, spec: dict) -> bool:
     return True
 
 
+def check_binary(targets, row: str = "row") -> None:
+    """Raise ValueError unless every target is 0 or 1 (NaN is neither),
+    naming the first other one by its ``row`` index and, in a label matrix,
+    its label column."""
+    targets = np.asarray(targets)
+    bad = np.argwhere((targets != 0.0) & (targets != 1.0))
+    if len(bad):
+        where = f"{row} {bad[0][0]}" + (f", label column {bad[0][1]}" if targets.ndim == 2 else "")
+        raise ValueError(f"{where}: target {targets[tuple(bad[0])]} is not 0 or 1")
+
+
 def write_json(payload, path) -> None:
     """The artefact file format: sorted keys, one-space indent, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -185,87 +201,70 @@ def _decode(line: str):
 def read_jsonl(path, error: type[ValueError], required: dict):
     """Yield the JSON object on each nonblank line of ``path``.
 
-    ``required`` is the spec each record is ``check``ed against. The file
-    is read a block of ``_BLOCK_LINES`` lines at a time: the block's records
-    are decoded, tested one key across the block at once, and yielded once
-    all of them pass. A block holding a line that does not parse or a
-    record that fails the check is decoded and checked again line by line,
-    each record yielded once it passes, so the first fault in file order
-    raises ``error`` naming ``path:line``, after the records above it. A
-    line that is not UTF-8 is such a fault too.
+    Lines end at ``\\n`` only, as in JSON Lines: the ``\\r`` of ``\\r\\n``
+    is stripped as JSON whitespace, and a lone ``\\r`` ends no line. The
+    file is read as bytes, ``_BLOCK_LINES`` lines at a time. A block is
+    decoded from UTF-8 once, its records are decoded and tested against the
+    spec ``required`` one key across the block at once, and they are yielded
+    once all of them pass. A block that fails in any way goes to the one
+    fallback, ``_checked_lines``, which decodes and checks it line by line,
+    so the first fault in file order raises ``error`` naming ``path:line``,
+    after the records above it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         first = 1
-        while True:
+        while raw := list(islice(fh, _BLOCK_LINES)):
             try:
-                lines = list(map(str.strip, islice(fh, _BLOCK_LINES)))
-            except UnicodeDecodeError:
-                # the decoder reads ahead of the lines, so find the line anew
-                lines, lineno, exc = _utf8_fault(path, first)
-                yield from _checked_lines(lines, first, path, error, required)
-                raise error(f"{path}:{lineno}: bad record: {exc}") from exc
-            if not lines:
-                return
-            try:
-                block = [_decode(line) for line in lines if line]
-            except json.JSONDecodeError:
+                lines = b"".join(raw).decode("utf-8").split("\n")
+                block = [_decode(line) for line in map(str.strip, lines) if line]
+            except _UNDECODABLE:
                 block = None
             if block is not None and _check_block(block, required):
                 yield from block
                 # the next block is decoded with this one freed
                 del block
             else:
-                yield from _checked_lines(lines, first, path, error, required)
-            first += len(lines)
+                yield from _checked_lines(raw, first, path, error, required)
+            first += len(raw)
 
 
-def _checked_lines(lines: list[str], first: int, path, error: type[ValueError],
+def _checked_lines(raw: list[bytes], first: int, path, error: type[ValueError],
                    required: dict):
-    """Decode and ``check`` each nonblank one of ``lines``, line ``first``
-    of ``path`` onwards, yielding its record once it passes."""
-    for lineno, line in enumerate(lines, start=first):
-        if not line:
-            continue
+    """Decode and ``check`` each nonblank one of the ``raw`` lines, line
+    ``first`` of ``path`` onwards, yielding its record once it passes."""
+    for lineno, line in enumerate(raw, start=first):
         try:
+            line = line.decode("utf-8").strip()
+            if not line:
+                continue
             rec = _decode(line)
             check(rec, required, "record")
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}:{lineno}: bad record: {exc}") from exc
         except DatasetError as exc:
             raise error(f"{path}:{lineno}: {exc}") from None
+        except _UNDECODABLE as exc:
+            raise error(f"{path}:{lineno}: bad record: {exc}") from exc
         yield rec
-
-
-def _utf8_fault(path, first: int) -> tuple[list[str], int, UnicodeDecodeError]:
-    """The first line of ``path``, from line ``first`` on, whose bytes are
-    not UTF-8: the stripped lines before it, its number and its error."""
-    lines = []
-    # surrogateescape keeps the bad bytes, and the lines split as in read_jsonl
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno < first:
-                continue
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return lines, lineno, exc
-            lines.append(line.strip())
-    raise AssertionError(f"{path} decodes as UTF-8 line by line")
 
 
 _NOTE_SPEC = {"admission_id": Id, "text": str}
 _LABEL_SPEC = {"admission_id": Id, "labels": list[str]}
 
 
+def _load_keyed(path, spec: dict, field: str, name: str) -> dict:
+    """admission_id -> the ``field`` of each record of the ``name`` file
+    ``path``, in file order; an id met twice raises DatasetError."""
+    out = {}
+    for rec in read_jsonl(path, DatasetError, spec):
+        aid = str(rec["admission_id"])
+        if aid in out:
+            raise DatasetError(f"duplicate admission_id in {name}: {aid}")
+        out[aid] = rec[field]
+    return out
+
+
 def load_notes(path) -> dict[str, str]:
     """admission_id -> document text, in file order."""
-    notes: dict[str, str] = {}
-    for rec in read_jsonl(path, DatasetError, _NOTE_SPEC):
-        aid = str(rec["admission_id"])
-        if aid in notes:
-            raise DatasetError(f"duplicate admission_id in notes: {aid}")
-        notes[aid] = rec["text"]
-    return notes
+    return _load_keyed(path, _NOTE_SPEC, "text", "notes")
 
 
 def save_notes(notes: dict[str, str], path) -> None:
@@ -274,13 +273,7 @@ def save_notes(notes: dict[str, str], path) -> None:
 
 def load_labels(path) -> dict[str, list[str]]:
     """admission_id -> list of gold label names."""
-    labels: dict[str, list[str]] = {}
-    for rec in read_jsonl(path, DatasetError, _LABEL_SPEC):
-        aid = str(rec["admission_id"])
-        if aid in labels:
-            raise DatasetError(f"duplicate admission_id in labels: {aid}")
-        labels[aid] = rec["labels"]
-    return labels
+    return _load_keyed(path, _LABEL_SPEC, "labels", "labels")
 
 
 def save_labels(labels: dict[str, list[str]], path) -> None:
@@ -311,15 +304,25 @@ def label_matrix(ids, labels_by_id, label_names) -> np.ndarray:
     return out
 
 
+def _repeated(ids) -> list[str]:
+    """The ids met more than once, sorted."""
+    return sorted(str(aid) for aid, n in Counter(ids).items() if n > 1)
+
+
 def split_ids(ids, ratios, seed) -> dict[str, list[str]]:
     """Disjoint covering train/val/test split by seeded shuffle.
 
-    Boundaries are the rounded cumulative ratios; every part must be
-    nonempty.
+    The ids must be distinct, and the ratios finite, non-negative and
+    summing to 1. Boundaries are the rounded cumulative ratios; every part
+    must be nonempty.
     """
     ids = list(ids)
     if len(ratios) != 3:
         raise DatasetError(f"need 3 split ratios, got {len(ratios)}")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise DatasetError(f"split ratios must be finite and non-negative, got {tuple(ratios)}")
+    if repeated := _repeated(ids):
+        raise DatasetError(f"cannot split repeated admission ids {repeated}")
     total = float(sum(ratios))
     if abs(total - 1.0) > 1e-9:
         raise DatasetError(f"split ratios must sum to 1, got {total}")
@@ -353,8 +356,6 @@ def load_manifest(path) -> dict[str, list[str]]:
     check(parts, dict.fromkeys(_SPLITS, list[str]), where)
     if len(parts) != len(_SPLITS):
         raise DatasetError(f"{where} holds {sorted(parts)}, not exactly {list(_SPLITS)}")
-    ids = [aid for name in _SPLITS for aid in parts[name]]
-    if len(set(ids)) != len(ids):
-        repeated = sorted(aid for aid, n in Counter(ids).items() if n > 1)
+    if repeated := _repeated(aid for name in _SPLITS for aid in parts[name]):
         raise DatasetError(f"{where} puts admissions {repeated} in more than one place")
     return parts

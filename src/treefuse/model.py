@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, backward
-from .dataset import Integer, check
+from .dataset import Integer, check, check_binary
 from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
@@ -305,8 +305,9 @@ def _runs(lengths: np.ndarray, budget: int):
 def _checked_split(params: ModelParams, mode: str, docs, assignments,
                    targets=None, split: str | None = None):
     """A split's int64 token arrays and, where ``mode`` fuses leaves, the
-    ``leaf_table`` rows of each document, after checking the whole split.
-    Errors name the split, when given, and the document."""
+    ``leaf_table`` rows of each document, after checking the whole split,
+    its 0/1 targets when given. Errors name the split, when given, and the
+    document."""
     at = "" if split is None else f"{split} split, "
     if assignments is None:
         assignments = [None] * len(docs)
@@ -314,9 +315,11 @@ def _checked_split(params: ModelParams, mode: str, docs, assignments,
     counts = {name: len(part) for name, part in sizes.items() if part is not None}
     if len(set(counts.values())) > 1:
         raise ValueError(at + ", ".join(f"{n} {name}" for name, n in counts.items()))
-    if targets is not None and np.shape(targets)[1:] != (params.dims.n_labels,):
-        raise ValueError(f"{at}target rows need {params.dims.n_labels} labels, "
-                         f"got shape {np.shape(targets)}")
+    if targets is not None:
+        if np.shape(targets)[1:] != (params.dims.n_labels,):
+            raise ValueError(f"{at}target rows need {params.dims.n_labels} labels, "
+                             f"got shape {np.shape(targets)}")
+        check_binary(targets, f"{at}document")
     docs = [np.asarray(ids, dtype=np.int64) for ids in docs]
     leaf_rows = np.empty((len(docs), params.dims.n_trees), dtype=np.int64)
     for i, ids in enumerate(docs):

@@ -33,7 +33,8 @@ from typing import Literal
 
 import numpy as np
 
-from .dataset import FiniteNumber, Integer, check, json_sha256, read_json, write_json
+from .dataset import (FiniteNumber, Integer, check, check_binary, json_sha256, read_json,
+                      write_json)
 
 # Boosting starts from a constant half-probability model, so the logistic
 # gradient is p0 - y and the hessian p0* (1 - p0).
@@ -211,15 +212,6 @@ def _feature_table(features) -> np.ndarray:
     return features
 
 
-def _check_binary(targets: np.ndarray) -> None:
-    """Refuse a target outside {0, 1}, naming its row and, in a label
-    matrix, its label column."""
-    bad = np.argwhere((targets != 0.0) & (targets != 1.0))
-    if len(bad):
-        where = f"row {bad[0][0]}" + (f", label column {bad[0][1]}" if targets.ndim == 2 else "")
-        raise ValueError(f"{where}: target {targets[tuple(bad[0])]} is not 0 or 1")
-
-
 def train_tree(
     features: np.ndarray,
     targets: np.ndarray,
@@ -246,7 +238,7 @@ def train_tree(
         raise ValueError(
             f"targets shape {targets.shape} does not match {features.shape[0]} rows"
         )
-    _check_binary(targets)
+    check_binary(targets)
     if order is None:
         order = _column_order(features)
     elif order.shape != features.shape[::-1]:
@@ -317,7 +309,7 @@ def train_ensemble(
             f"label matrix shape {label_matrix.shape} does not match "
             f"{features.shape[0]} feature rows"
         )
-    _check_binary(label_matrix)
+    check_binary(label_matrix)
     order = _column_order(features)
     trees = [train_tree(features, label_matrix[:, t], config, order=order)
              for t in range(label_matrix.shape[1])]

@@ -1,5 +1,6 @@
 """The record reader: its block test against ``check`` record by record,
-where it reports a fault, and how many records it holds at once."""
+where its lines end, where it reports a fault, and how many records it
+holds at once."""
 
 import json
 import math
@@ -165,8 +166,8 @@ class TestFaultLocation:
 @pytest.mark.parametrize("name, error", [("notes", DatasetError), ("timeseries", RecordError)])
 @pytest.mark.parametrize("bad_line", [2, 300, 700], ids=["block-1", "block-2", "block-3"])
 def test_non_utf8_line_names_file_and_line(tmp_path, name, error, bad_line):
-    # the text decoder reads ahead, so line 300 fails while block 1 is read;
-    # line 700 fails in a later block
+    # line 2 is in block 1, line 300 in block 2 and line 700 in block 3; the
+    # block's one UTF-8 decode fails and its lines are decoded one by one
     line = json.dumps(SAMPLES[name]).encode()
     lines = [line] * 800
     lines[bad_line - 1] = line.replace(b'"a"', b'"\xff"', 1)
@@ -179,6 +180,87 @@ def test_non_utf8_line_names_file_and_line(tmp_path, name, error, bad_line):
             yielded += 1
     # every record above the fault was yielded first
     assert yielded == bad_line - 1
+
+
+@pytest.mark.parametrize("fault", [
+    # where int parsing has a digit limit (sys.get_int_max_str_digits) the
+    # decoder raises a plain ValueError; without one the value is out of range
+    '{"admission_id": "a", "class_id": "hr", "timestamp": 0, "value": ' + "9" * 5000 + "}",
+    # the decoder's recursion limit
+    "[" * 100_000 + "]" * 100_000,
+], ids=["integer-past-digit-limit", "nested-too-deep"])
+def test_line_the_decoder_cannot_take_names_file_and_line(tmp_path, fault):
+    lines = [json.dumps(SAMPLES["timeseries"]), fault, json.dumps(SAMPLES["timeseries"])]
+    path = tmp_path / "timeseries.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordError, match=re.escape("timeseries.jsonl:2: ")):
+        list(read_jsonl(path, RecordError, SPECS["timeseries"]))
+
+
+def test_non_utf8_file_is_opened_once_as_bytes(tmp_path, monkeypatch):
+    line = json.dumps(SAMPLES["notes"]).encode()
+    path = tmp_path / "notes.jsonl"
+    path.write_bytes(line + b"\n" + line.replace(b'"a"', b'"\xff"', 1) + b"\n")
+    opened = []
+
+    def recorded_open(file, mode="r", *args, **kwargs):
+        opened.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "open", recorded_open, raising=False)
+    with pytest.raises(DatasetError, match=re.escape("notes.jsonl:2: bad record: 'utf-8'")):
+        list(read_jsonl(path, DatasetError, SPECS["notes"]))
+    assert opened == ["rb"]
+
+
+def test_json_fault_above_non_utf8_line_in_its_block_is_reported_first(tmp_path):
+    line = json.dumps(SAMPLES["notes"]).encode()
+    lines = [line] * 20
+    lines[4] = b"{"
+    lines[9] = line.replace(b'"a"', b'"\xff"', 1)
+    path = tmp_path / "notes.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DatasetError, match=re.escape("notes.jsonl:5: bad record: Expecting")):
+        list(read_jsonl(path, DatasetError, SPECS["notes"]))
+
+
+class TestLineEnds:
+    """A line ends at \\n only, as in JSON Lines."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_crlf_gives_the_records_and_line_numbers_of_lf(self, tmp_path, end):
+        records = [{"admission_id": i, "text": f"note {i}"}
+                   for i in range(2 * dataset._BLOCK_LINES + 9)]
+        lines = [json.dumps(rec) for rec in records]
+        path = tmp_path / "notes.jsonl"
+        path.write_bytes(end.join(lines + [""]).encode())
+        assert list(read_jsonl(path, DatasetError, SPECS["notes"])) == records
+        # a blank line, then a fault in block 2
+        lines[3] = ""
+        lines[dataset._BLOCK_LINES + 3] = '{"admission_id": 1}'
+        path.write_bytes(end.join(lines + [""]).encode())
+        yielded = []
+        with pytest.raises(DatasetError, match=re.escape(
+                f"notes.jsonl:{dataset._BLOCK_LINES + 4}: record has no 'text'")):
+            yielded.extend(read_jsonl(path, DatasetError, SPECS["notes"]))
+        assert yielded == records[:3] + records[4:dataset._BLOCK_LINES + 3]
+
+    def test_lone_cr_is_not_a_line_end(self, tmp_path):
+        path = tmp_path / "notes.jsonl"
+        path.write_bytes(b'{"admission_id": "a", "text": "x"}\r{"admission_id": "b", "text": "y"}\n')
+        with pytest.raises(DatasetError, match=re.escape("notes.jsonl:1: bad record: Extra data")):
+            list(read_jsonl(path, DatasetError, SPECS["notes"]))
+
+    # str.splitlines would end a line at each of these
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_breaks_stay_inside_a_string(self, tmp_path, char):
+        records = [{"admission_id": "a", "text": f"one{char}two"}, {"admission_id": "b", "text": "x"}]
+        path = tmp_path / "notes.jsonl"
+        # ensure_ascii=False writes the character raw, as a UTF-8 sequence
+        path.write_bytes("".join(json.dumps(rec, ensure_ascii=False) + "\n"
+                                 for rec in records).encode())
+        assert char.encode() in path.read_bytes()
+        assert list(read_jsonl(path, DatasetError, SPECS["notes"])) == records
 
 
 def test_reading_holds_one_block_of_records_at_a_time(tmp_path):

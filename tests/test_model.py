@@ -561,6 +561,27 @@ class TestTraining:
             assert_bitwise(after[name], before[name])
         assert all(t.grad is None for t in params.all())
 
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    @pytest.mark.parametrize("value", [2.0, -1.0, 0.5, np.nan])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_non_binary_target_rejected_before_training(self, split, value, seed):
+        # a NaN target used to train until its document's step reported a
+        # non-finite loss, after the steps before it had changed parameters
+        params = toy_params(seed=23)
+        before = params.snapshot()
+        docs, assignments, targets = self.small_data(4)
+        bad = targets.copy()
+        bad[3, 1] = value
+        train, val = (bad, targets) if split == "train" else (targets, bad)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{split} split, document 3, label column 1: target {value} is not 0 or 1")):
+            train_model(params, docs, assignments, train, docs, assignments, val,
+                        TrainSettings(epochs=1, seed=seed))
+        after = params.snapshot()
+        for name in before:
+            assert_bitwise(after[name], before[name])
+        assert all(t.grad is None for t in params.all())
+
     def test_default_precision_k_fits_a_small_label_space(self):
         # TOY has 3 labels, fewer than the default k of 5
         params = toy_params(seed=20)

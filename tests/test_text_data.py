@@ -103,6 +103,16 @@ class TestDatasetFiles:
         with pytest.raises(DatasetError):
             load_notes(path)
 
+    @pytest.mark.parametrize("loader, name, line", [
+        (load_notes, "notes", '{"admission_id": "a", "text": "y"}'),
+        (load_labels, "labels", '{"admission_id": "a", "labels": []}'),
+    ])
+    def test_duplicate_id_error_names_the_file_kind(self, tmp_path, loader, name, line):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(f"{line}\n{line}\n")
+        with pytest.raises(DatasetError, match=f"duplicate admission_id in {name}: a$"):
+            loader(path)
+
     def test_labels_round_trip(self, tmp_path):
         labels = {"a": ["l1", "l2"], "b": []}
         path = tmp_path / "labels.jsonl"
@@ -175,6 +185,20 @@ class TestSplit:
     def test_bad_ratio_sum_rejected(self):
         with pytest.raises(DatasetError):
             split_ids(["a", "b"], (0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("ratios", [
+        (float("nan"), 0.5, 0.5), (float("inf"), float("-inf"), 1.0),
+        (0.6, -0.2, 0.6), (1.2, -0.1, -0.1),
+    ], ids=["nan", "infinities", "negative-val", "negative-val-test"])
+    def test_non_finite_or_negative_ratio_rejected(self, ratios):
+        with pytest.raises(DatasetError, match="split ratios must be finite and non-negative"):
+            split_ids([f"d{i}" for i in range(10)], ratios, seed=0)
+
+    def test_repeated_ids_rejected(self):
+        # such a split would be written to a manifest that load_manifest refuses
+        ids = [f"d{i}" for i in range(10)] + ["d3", "d7", "d3"]
+        with pytest.raises(DatasetError, match=re.escape("repeated admission ids ['d3', 'd7']")):
+            split_ids(ids, (0.6, 0.2, 0.2), seed=0)
 
     def test_same_seed_identical(self):
         ids = [f"d{i}" for i in range(30)]

@@ -3,13 +3,18 @@
 Every op computes its forward result eagerly with numpy. The tape is the
 only tracking rule: an op run inside ``with Tape()`` records a backward
 closure, and that closure gives every input its gradient; an op run outside
-a tape records nothing. ``backward`` replays the tape in reverse,
+a tape records nothing. ``backward`` consumes the tape in reverse,
 accumulating gradients with ``+=`` so shared inputs sum their contributions.
+It drops each node once its closure has run, and with it the gradient of the
+tensor that node produced: a tensor's node runs only after every consumer
+has added its share, so the sweep frees each op's saved arrays and each
+intermediate gradient as it passes them, and an emptied tape holds nothing.
 
 A parameter's gradient buffer is optimizer state: ``AdamState`` makes it
 zeroed and points ``grad`` at it, ``zero_grads`` refills it before each
 step, and training sets ``grad`` back to None when it ends. Any other
-tensor gets a buffer from its first gradient.
+tensor gets a buffer from its first gradient, which it keeps after
+``backward`` only if no op on the tape produced it.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of ops; inputs of a node always precede it."""
+    """Ordered record of ops; inputs of a node always precede it.
+    ``backward`` empties it."""
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, object]] = []
@@ -83,14 +89,17 @@ def _finish(out: Tensor, backward_fn) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse sweep seeding d(loss)/d(loss) = 1. Single use per tape."""
+    """Reverse sweep seeding d(loss)/d(loss) = 1 that consumes the tape:
+    each node is popped, run, and dropped with its output's ``grad``."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     loss.accumulate_grad(np.ones_like(loss.data))
-    for out, backward_fn in reversed(tape._nodes):
-        if out.grad is None:
-            continue
-        backward_fn(out.grad)
+    nodes = tape._nodes
+    while nodes:
+        out, backward_fn = nodes.pop()
+        if out.grad is not None:
+            backward_fn(out.grad)
+            out.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +418,9 @@ def lstm_sequence(
     cell, tanh and hidden state straight into row k of their buffers. The
     forward output is bitwise equal to evaluating the gates one slice at a
     time. Backward runs only the recurrence in the loop: the gate-local
-    derivatives are precomputed, each step writes its pre-activation
-    gradient into one row of ``dpre``, and the weight, bias and input
-    gradients are single products over all of ``dpre`` after the loop.
+    derivatives are precomputed into ``dpre``, each step scales its row
+    into its pre-activation gradient in place, and the weight, bias and
+    input gradients are single products over all of ``dpre`` after the loop.
     Those sums run in a different order from a per-step accumulation, so
     gradients agree with it to rounding.
     """
@@ -449,29 +458,29 @@ def lstm_sequence(
         gi, gf, gc, go = (gates[:, j * d : (j + 1) * d] for j in range(4))
         # d(loss)/dc through h = o * tanh(c)
         o_dtanh = go * (1.0 - tanh_c * tanh_c)
-        # dpre = [dc, dc, dc, dh] * local: each gate's partner times the
-        # derivative of its own nonlinearity
-        local = gates * (1.0 - gates)
-        local[:, 2 * d : 3 * d] = 1.0 - gc * gc
-        local[:, :d] *= gc
-        local[:, d : 2 * d] *= cs[:-1]
-        local[:, 2 * d : 3 * d] *= gi
-        local[:, 3 * d :] *= tanh_c
+        # dpre = [dc, dc, dc, dh] * local, local being each gate's partner
+        # times the derivative of its own nonlinearity: local is built in
+        # dpre's array, and each step scales its own row in place
+        dpre = gates * (1.0 - gates)
+        dpre[:, 2 * d : 3 * d] = 1.0 - gc * gc
+        dpre[:, :d] *= gc
+        dpre[:, d : 2 * d] *= cs[:-1]
+        dpre[:, 2 * d : 3 * d] *= gi
+        dpre[:, 3 * d :] *= tanh_c
 
         Gs = G[::-1] if reverse else G
         whT = np.ascontiguousarray(wh.T)
-        dpre = np.empty((n, 4 * d))
         dpre4 = dpre.reshape(n, 4, d)
         dh_next = np.zeros(d)
         dc_next = np.zeros(d)
         for k in range(n - 1, -1, -1):
             dh = Gs[k] + dh_next
             dc = dh * o_dtanh[k] + dc_next
-            dpre4[k, :3] = dc
-            dpre4[k, 3] = dh
-            dpre[k] *= local[k]
+            dpre4[k, :3] *= dc
+            dpre4[k, 3] *= dh
             dc_next = dc * gf[k]
             dh_next = whT @ dpre[k]
+        del o_dtanh
 
         w_hidden.accumulate_grad(dpre.T @ hs[:-1])
         bias.accumulate_grad(dpre.sum(axis=0))
@@ -541,7 +550,9 @@ class AdamState:
 
     ``grads``, ``m`` and ``v`` are zero arrays aligned with ``params`` and
     updated in place; each parameter's ``grad`` points at its buffer in
-    ``grads`` until the caller sets it back to None. ``adam_step`` and
+    ``grads`` until the caller sets it back to None. A parameter is never
+    an op's output, so ``backward`` adds into that buffer and leaves it in
+    place while it frees the step's tape. ``adam_step`` and
     ``clip_gradients`` compute through one scratch pair sized to the
     largest parameter, so a step allocates no parameter-sized array. The
     state is made before the first step: made inside the first step

@@ -48,6 +48,8 @@ _BLOCK_LINES = 256
 # What decoding a record line raises: bytes that are not UTF-8, text that is
 # not JSON, an integer past int's digit limit, nesting past the recursion limit
 _UNDECODABLE = (ValueError, RecursionError)
+# JSON's whitespace, all a record line may hold around its value
+_JSON_SPACE = " \t\n\r"
 
 
 class _SpecType(type):
@@ -177,7 +179,7 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except _UNDECODABLE as exc:
             raise DatasetError(f"{path}: not a JSON file: {exc}") from None
 
 
@@ -202,8 +204,9 @@ def read_jsonl(path, error: type[ValueError], required: dict):
     """Yield the JSON object on each nonblank line of ``path``.
 
     Lines end at ``\\n`` only, as in JSON Lines: the ``\\r`` of ``\\r\\n``
-    is stripped as JSON whitespace, and a lone ``\\r`` ends no line. The
-    file is read as bytes, ``_BLOCK_LINES`` lines at a time. A block is
+    is stripped as JSON whitespace, and a lone ``\\r`` ends no line. As in
+    ``json.loads``, only JSON's whitespace is stripped from a line's edges.
+    The file is read as bytes, ``_BLOCK_LINES`` lines at a time. A block is
     decoded from UTF-8 once, its records are decoded and tested against the
     spec ``required`` one key across the block at once, and they are yielded
     once all of them pass. A block that fails in any way goes to the one
@@ -216,7 +219,7 @@ def read_jsonl(path, error: type[ValueError], required: dict):
         while raw := list(islice(fh, _BLOCK_LINES)):
             try:
                 lines = b"".join(raw).decode("utf-8").split("\n")
-                block = [_decode(line) for line in map(str.strip, lines) if line]
+                block = [_decode(s) for line in lines if (s := line.strip(_JSON_SPACE))]
             except _UNDECODABLE:
                 block = None
             if block is not None and _check_block(block, required):
@@ -234,7 +237,7 @@ def _checked_lines(raw: list[bytes], first: int, path, error: type[ValueError],
     ``first`` of ``path`` onwards, yielding its record once it passes."""
     for lineno, line in enumerate(raw, start=first):
         try:
-            line = line.decode("utf-8").strip()
+            line = line.decode("utf-8").strip(_JSON_SPACE)
             if not line:
                 continue
             rec = _decode(line)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, backward
-from .dataset import Integer, check, check_binary
+from .dataset import _UNDECODABLE, Integer, check, check_binary
 from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
@@ -281,13 +281,15 @@ def document_loss(params: ModelParams, token_ids, assignment, target,
 # buffers made once per scan, so a wider batch mainly gives each recurrent
 # GEMM more rows: long_text's 150-250-token documents score 32-54 to a
 # batch. The cost is memory: the benchmark's long_text peak_rss_mb reads
-# 76.4 MiB here against 75.3-75.4 MiB at a budget of 2048 (medians of 10
-# runs each, seeds 1 and 7).
+# 70.7-71.1 MiB here against 69.0-69.4 MiB at a budget of 2048, which
+# scores 154-163 docs/s against 203-213 here (3 runs each, seeds 1 and 7,
+# --seconds 10).
 _SCORE_BATCH_STEPS = 8192
 # Padded token rows per head group. A group's buffers hold, per row, its
 # LSTM states (d_h floats), their product with the head's constants
 # (distinct tree keys + 2 n_labels), tree weights and leaf terms; heads over
-# whole batches raised long_text's peak RSS by a tenth.
+# whole batches read long_text's peak_rss_mb at 140.8-144.7 MiB, twice the
+# 70.7-71.1 MiB at 256 (same runs as above).
 _HEAD_ROWS = 256
 
 
@@ -494,9 +496,10 @@ def train_model(
     Both splits are checked whole before any parameter changes. The
     optimizer's state is made before the first step, with one gradient
     buffer per parameter that every step zero-fills and reuses; Adam and
-    clipping work in place through its scratch pair. The parameters let go
-    of the buffers when training returns, and the heap memory training
-    freed goes back to the system.
+    clipping work in place through its scratch pair. ``backward`` consumes
+    each step's tape, so nothing of a step outlives its update but its loss
+    and probabilities. The parameters let go of the buffers when training
+    returns, and the heap memory training freed goes back to the system.
     """
     n = len(train_docs)
     if n == 0:
@@ -568,7 +571,7 @@ def train_model(
     for t in tensors:
         t.grad = None
     params.restore(best_state)
-    del adam, tape, best_state
+    del adam, best_state
     _release_free_heap()
     return TrainResult(log_rows=log_rows, best_epoch=best_epoch)
 
@@ -583,12 +586,14 @@ def _release_free_heap() -> None:
     """Return the C heap's free pages to the system, where the C library
     can (glibc's ``malloc_trim``).
 
-    Training frees tens of MiB of optimizer state and tape when it ends.
-    On its own glibc gives freed heap memory back only from the heap's
-    top, above a threshold that grows with the largest mapped block freed
-    so far, and both shift from run to run with allocation order. Without
-    this, a scoring pass after training starts on a heap holding 0-30 MiB
-    of free but resident pages, and the process's peak RSS moves with it.
+    Training frees its optimizer state when it ends: gradients, both
+    moments and the best epoch's snapshot, four copies of the parameters
+    (over 10 MiB at the default dims). On its own glibc gives freed heap
+    memory back only from the heap's top, above a threshold that grows
+    with the largest mapped block freed so far, and both shift from run to
+    run with allocation order. Without this, a scoring pass after training
+    can start on a heap holding that memory free but resident, and the
+    process's peak RSS moves with it.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
@@ -616,7 +621,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{path}: no 'meta_json' entry")
         try:
             meta = json.loads(str(archive["meta_json"]))
-        except ValueError as exc:
+        except _UNDECODABLE as exc:
             raise ValueError(f"{path}: entry 'meta_json' is not JSON: {exc}") from None
         check(meta, _META_SPEC, f"{path} meta_json")
         check(meta["dims"], _DIMS_SPEC, f"{path} dims")

@@ -195,3 +195,13 @@ def test_unparsable_file_named(tmp_path, name):
     path.write_text(path.read_text()[:-3])
     with pytest.raises(dataset.DatasetError, match=re.escape(f"{path}: not a JSON file")):
         ARTEFACTS[name][2](path)
+
+
+@pytest.mark.parametrize("read", [dataset.read_json] + [
+    ARTEFACTS[name][2] for name in ("vocabulary", "schema", "ensemble", "manifest")],
+    ids=["read_json", "vocabulary", "schema", "ensemble", "manifest"])
+def test_file_nested_past_the_recursion_limit_named(tmp_path, read):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(dataset.DatasetError, match=re.escape(f"{path}: not a JSON file: ")):
+        read(path)

@@ -633,6 +633,54 @@ class TestTapeMechanics:
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [2.0])
 
+    def test_backward_consumes_the_tape(self):
+        # every node is dropped with its output's gradient; the leaf inputs,
+        # and a tensor made before the tape, keep theirs
+        x = Tensor(np.array([0.5, -1.0]))
+        w = Tensor(np.array([2.0, 3.0]))
+        y = ad.sigmoid(x)
+        with Tape() as tape:
+            h = ad.mul(y, w)
+            s = ad.tanh(h)
+            loss = ad.reduce_sum(s)
+        backward(tape, loss)
+        assert tape._nodes == []
+        assert h.grad is None and s.grad is None and loss.grad is None
+        dh = 1.0 - s.data * s.data
+        np.testing.assert_array_equal(w.grad, dh * y.data)
+        np.testing.assert_array_equal(y.grad, dh * w.data)
+        assert x.grad is None
+
+    def test_shared_op_output_sums_both_consumers(self):
+        # h feeds two ops; its own node runs after both have added their share
+        x = Tensor(np.array([0.3, -0.7, 1.2]))
+        w = Tensor(np.array([2.0, -1.0, 0.5]))
+        with Tape() as tape:
+            h = ad.tanh(x)
+            s = ad.sigmoid(h)
+            loss = ad.reduce_sum(ad.add(ad.mul(h, w), s))
+        backward(tape, loss)
+        assert h.grad is None
+        dh = w.data + s.data * (1.0 - s.data)
+        assert_bitwise(x.grad, dh * (1.0 - h.data * h.data))
+        np.testing.assert_array_equal(w.grad, h.data)
+
+    def test_parameter_buffers_survive_backward(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(4, 2)))
+        state = ad.AdamState([w], lr=1e-2)
+        buffers = list(state.grads)
+        for _ in range(2):
+            ad.zero_grads(state)
+            with Tape() as tape:
+                loss = ad.reduce_sum(ad.tanh(ad.matmul(x, w)))
+            backward(tape, loss)
+            assert w.grad is buffers[0] and state.grads[0] is buffers[0]
+            assert np.any(w.grad != 0.0)
+            ad.adam_step(state)
+        assert all(g is b for g, b in zip(state.grads, buffers, strict=True))
+
 
 class TestOptimizers:
     def test_state_owns_one_zero_gradient_buffer_per_param(self):

@@ -263,6 +263,38 @@ class TestLineEnds:
         assert list(read_jsonl(path, DatasetError, SPECS["notes"])) == records
 
 
+    # JSON's whitespace, then characters str.strip would also take from a
+    # line's edges
+    @pytest.mark.parametrize("edge", [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f",
+                                      "\x85", "\xa0", "\u2028", "\u3000"])
+    def test_a_line_edge_holds_only_what_json_loads_accepts(self, tmp_path, edge):
+        text = json.dumps(SAMPLES["notes"])
+        path = tmp_path / "notes.jsonl"
+        for line in (edge + text, text + edge):
+            path.write_bytes((line + "\n").encode())
+            if edge in " \t\r":
+                assert list(read_jsonl(path, DatasetError, SPECS["notes"])) == [json.loads(line)]
+            else:
+                with pytest.raises(ValueError):
+                    json.loads(line)
+                with pytest.raises(DatasetError, match=re.escape("notes.jsonl:1: bad record: ")):
+                    list(read_jsonl(path, DatasetError, SPECS["notes"]))
+
+    def test_unicode_space_at_an_edge_names_its_line_in_block_2(self, tmp_path):
+        good = json.dumps(SAMPLES["notes"])
+        lines = [good] * (dataset._BLOCK_LINES + 9)
+        lines[dataset._BLOCK_LINES + 4] = " \x1c" + good + "\x85"
+        # JSON whitespace around a record, on a CRLF line
+        lines[2] = "\t" + good + " "
+        path = tmp_path / "notes.jsonl"
+        path.write_bytes("\r\n".join(lines + [""]).encode())
+        yielded = []
+        with pytest.raises(DatasetError, match=re.escape(
+                f"notes.jsonl:{dataset._BLOCK_LINES + 5}: bad record: Expecting value")):
+            yielded.extend(read_jsonl(path, DatasetError, SPECS["notes"]))
+        assert yielded == [SAMPLES["notes"]] * (dataset._BLOCK_LINES + 4)
+
+
 def test_reading_holds_one_block_of_records_at_a_time(tmp_path):
     # an 8-block file peaks no higher than a 1-block file plus one block of
     # decoded records

@@ -142,6 +142,7 @@ def matmul(a: Tensor, b: Tensor, *, ta: bool = False, tb: bool = False) -> Tenso
     def bw(g: np.ndarray) -> None:
         da = g @ bv.T
         a.accumulate_grad(da.T if ta else da)
+        del da  # before db exists: a training step peaks in this closure
         db = av.T @ g
         b.accumulate_grad(db.T if tb else db)
 

@@ -23,7 +23,6 @@ projection and leaf embeddings folded into per-pass constants.
 
 from __future__ import annotations
 
-import ctypes
 import io
 import json
 from dataclasses import asdict, dataclass
@@ -499,7 +498,7 @@ def train_model(
     clipping work in place through its scratch pair. ``backward`` consumes
     each step's tape, so nothing of a step outlives its update but its loss
     and probabilities. The parameters let go of the buffers when training
-    returns, and the heap memory training freed goes back to the system.
+    returns.
     """
     n = len(train_docs)
     if n == 0:
@@ -571,32 +570,7 @@ def train_model(
     for t in tensors:
         t.grad = None
     params.restore(best_state)
-    del adam, best_state
-    _release_free_heap()
     return TrainResult(log_rows=log_rows, best_epoch=best_epoch)
-
-
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
-
-def _release_free_heap() -> None:
-    """Return the C heap's free pages to the system, where the C library
-    can (glibc's ``malloc_trim``).
-
-    Training frees its optimizer state when it ends: gradients, both
-    moments and the best epoch's snapshot, four copies of the parameters
-    (over 10 MiB at the default dims). On its own glibc gives freed heap
-    memory back only from the heap's top, above a threshold that grows
-    with the largest mapped block freed so far, and both shift from run to
-    run with allocation order. Without this, a scoring pass after training
-    can start on a heap holding that memory free but resident, and the
-    process's peak RSS moves with it.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
@@ -636,6 +610,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 found = "missing" if array is None else f"shape {array.shape}"
                 raise ValueError(
                     f"{path}: array {name!r} is {found}, expected shape {shape}"
+                )
+            if array.dtype != np.float64:
+                raise ValueError(
+                    f"{path}: array {name!r} has dtype {array.dtype}, expected float64"
                 )
             if not np.isfinite(array).all():
                 raise ValueError(f"{path}: array {name!r} has a non-finite value")

@@ -354,8 +354,8 @@ class TestStepMemory:
             # loss and yhat (50 floats) are all that is left
             assert held < 0.1 * 2**20
             # the sweep frees what it has passed before the next op's
-            # temporaries: the tape made 6.3 MiB, the peak reads 8.1
-            assert peak <= 1.4 * after_forward
+            # temporaries: the tape made 6.3 MiB, the peak reads 7.6
+            assert peak <= 1.25 * after_forward
             assert all(p.grad is g for p, g in zip(params.all(), state.grads, strict=True))
 
 
@@ -499,24 +499,6 @@ class TestTraining:
         for grads in grads_seen[1:]:
             assert all(g is first for g, first in zip(grads, grads_seen[0], strict=True))
         assert all(t.grad is None for t in params.all())
-
-    def test_frees_heap_once_optimizer_state_is_gone(self, monkeypatch):
-        # training hands its freed memory back once, at the end, after the
-        # parameters have dropped their gradient buffers
-        released, release = [], tm._release_free_heap
-
-        def spy():
-            released.append([t.grad for t in params.all()])
-            release()
-
-        monkeypatch.setattr(tm, "_release_free_heap", spy)
-        params = toy_params(seed=19)
-        docs, assignments, targets = self.small_data(4)
-        settings = TrainSettings(epochs=2, seed=5)
-        train_model(params, docs[:3], assignments[:3], targets[:3],
-                    docs[3:], assignments[3:], targets[3:], settings)
-        assert len(released) == 1
-        assert all(g is None for g in released[0])
 
     def test_text_only_leaves_structured_params_unchanged(self):
         # text_only never reaches these, so they step on zero gradients
@@ -902,6 +884,17 @@ class TestBadCheckpoint:
 
         path = self.damaged(tmp_path, nan_bias)
         with pytest.raises(ValueError, match="ckpt.npz.*'out_bias'.*non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["<U1", np.complex128, np.bool_, "datetime64[s]"])
+    def test_array_not_float64(self, tmp_path, dtype):
+        # save_checkpoint writes float64 only; anything else would load cast
+        # (complex parts dropped) or fail inside the finiteness check
+        def retyped(arrays, meta):
+            arrays["word_emb"] = np.zeros(arrays["word_emb"].shape, dtype=dtype)
+
+        path = self.damaged(tmp_path, retyped)
+        with pytest.raises(ValueError, match=r"ckpt.npz.*'word_emb'.*dtype .*expected float64"):
             load_checkpoint(path)
 
 

@@ -45,12 +45,12 @@ class Tensor:
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` into the gradient buffer in place.
 
-        A tensor without a buffer, which no optimizer state owns, gets one
-        as ``g + 0.0`` (bitwise equal to zeros plus ``g``, signed zeros
-        included) in the layout of ``data``.
+        A tensor without a buffer, which no optimizer state owns, takes
+        ``g`` itself as its buffer: every backward closure hands over a
+        writable array that shares no element with another tensor's buffer.
         """
         if self.grad is None:
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self.grad = g
         else:
             self.grad += g
 
@@ -190,7 +190,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g: np.ndarray) -> None:
         a.accumulate_grad(g)
-        b.accumulate_grad(g)
+        # a's buffer may be g itself
+        b.accumulate_grad(g.copy())
 
     return _finish(out, bw)
 
@@ -574,12 +575,11 @@ class AdamState:
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.scratch = np.empty((2, max((p.data.size for p in params), default=0)))
+        # per parameter, two views shaped like it into the scratch pair
+        self.scratch_views = [tuple(row[: p.data.size].reshape(p.data.shape)
+                                    for row in self.scratch) for p in params]
         for p, g in zip(params, self.grads):
             p.grad = g
-
-    def scratch_like(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two views shaped like ``a`` into the scratch pair."""
-        return tuple(row[: a.size].reshape(a.shape) for row in self.scratch)
 
 
 def adam_step(state: AdamState) -> None:
@@ -592,8 +592,8 @@ def adam_step(state: AdamState) -> None:
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.BETA1, state.BETA2
-    for p, g, m, v in zip(state.params, state.grads, state.m, state.v):
-        a, b = state.scratch_like(p.data)
+    for p, g, m, v, (a, b) in zip(state.params, state.grads, state.m, state.v,
+                                  state.scratch_views):
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=b)
         v *= b2
@@ -621,8 +621,7 @@ def clip_gradients(state: AdamState, max_norm: float) -> float:
     the gradients are scaled in place. Returns the pre-clip norm.
     """
     total = 0.0
-    for g in state.grads:
-        out = state.scratch_like(g)[0]
+    for g, (out, _) in zip(state.grads, state.scratch_views):
         total += float(np.sum(np.multiply(g, g, out=out)))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:

@@ -13,7 +13,9 @@ a spec that maps each key it must hold to a type: a class, a union,
 ``Integer``, ``FiniteNumber``, ``Id``, ``list[T]``, ``dict[str, T]`` or, for a
 format version, ``Literal[v]``. Every line-delimited record file is
 written by ``write_jsonl``, and ``read_jsonl`` holds each of its records to a
-spec of the same kind, tested a block of records at a time. A record line
+spec of the same kind, tested a block of records at a time: one function
+asks whether every value in a sequence is of a spec's type, of one value
+for ``check`` and of one key across a block for the block test. A record line
 ends at ``\\n`` only (a lone ``\\r`` does not end one), and is UTF-8; a
 block that fails in any way is read again line by line, which names the
 first faulty line. Each artefact states its spec once, beside its reader.
@@ -28,7 +30,7 @@ import sys
 from collections import Counter
 from itertools import islice, repeat
 from operator import itemgetter
-from types import GenericAlias
+from types import GenericAlias, UnionType
 from typing import Literal
 
 import numpy as np
@@ -52,22 +54,8 @@ _UNDECODABLE = (ValueError, RecursionError)
 _JSON_SPACE = " \t\n\r"
 
 
-class _SpecType(type):
-    """A spec type tests one value with ``accepts`` and a list of
-    JSON-decoded values with ``accepts_all``, which holds iff ``accepts``
-    holds for each of them."""
-
-    def __instancecheck__(cls, value) -> bool:
-        return cls.accepts(value)
-
-
-class FiniteNumber(metaclass=_SpecType):
+class FiniteNumber:
     """Spec type of a finite number (not a bool, NaN or ±Infinity)."""
-
-    @staticmethod
-    def accepts(value, _max=sys.float_info.max) -> bool:
-        # bool is not a number here, and NaN fails the comparisons
-        return (isinstance(value, float) or value.__class__ is int) and -_max <= value <= _max
 
     @staticmethod
     def accepts_all(values, _max=sys.float_info.max) -> bool:
@@ -79,41 +67,47 @@ class FiniteNumber(metaclass=_SpecType):
                 and not any(map(math.isnan, values)))
 
 
-class Integer(metaclass=_SpecType):
+class Integer:
     """Spec type of an integer (not a bool)."""
-
-    @staticmethod
-    def accepts(value) -> bool:
-        return value.__class__ is int
 
     @staticmethod
     def accepts_all(values) -> bool:
         return {int}.issuperset(map(type, values))
 
 
-class Id(metaclass=_SpecType):
+class Id:
     """Spec type of a record id: a string or an integer (not a bool)."""
-
-    @staticmethod
-    def accepts(value) -> bool:
-        return value.__class__ is str or value.__class__ is int
 
     @staticmethod
     def accepts_all(values) -> bool:
         return {str, int}.issuperset(map(type, values))
 
 
-def _is(value, kind) -> bool:
-    """``isinstance`` extended to ``list[T]``, ``dict[str, T]`` and ``Literal[...]``."""
+# each tests a sequence of JSON-decoded values at once, with ``accepts_all``
+_SPEC_TYPES = (FiniteNumber, Integer, Id)
+
+
+def _all_of(values, kind) -> bool:
+    """Whether every one of ``values`` is of the spec ``kind``."""
+    if kind in _SPEC_TYPES:
+        return kind.accepts_all(values)
+    if kind.__class__ is UnionType:
+        classes = tuple(k for k in kind.__args__ if k not in _SPEC_TYPES)
+        specs = [k for k in kind.__args__ if k in _SPEC_TYPES]
+        rest = [value for value in values if not isinstance(value, classes)]
+        # one spec type taking all the rest settles it without a test per value
+        return (any(k.accepts_all(rest) for k in specs)
+                or all(any(k.accepts_all((value,)) for k in specs) for value in rest))
     if kind.__class__ is _LITERAL:
-        return any(value.__class__ is v.__class__ and value == v for v in kind.__args__)
-    if kind.__class__ is not GenericAlias:
-        return isinstance(value, kind)
-    outer, item = kind.__origin__, kind.__args__[-1]
-    # a dict's keys are not checked: JSON object keys are strings
-    items = value.values() if isinstance(value, dict) else value
-    test = _is if item.__class__ in (GenericAlias, _LITERAL) else isinstance
-    return isinstance(value, outer) and all(map(test, items, repeat(item)))
+        return all(any(value.__class__ is v.__class__ and value == v for v in kind.__args__)
+                   for value in values)
+    if kind.__class__ is GenericAlias:
+        outer, item = kind.__origin__, kind.__args__[-1]
+        # a dict's keys are not checked: JSON object keys are strings
+        return (all(map(isinstance, values, repeat(outer)))
+                and _all_of([x for value in values
+                             for x in (value.values() if outer is dict else value)], item))
+    return all(map(isinstance, values, repeat(kind)))
 
 
 def check(payload, spec: dict, where: str) -> None:
@@ -124,11 +118,8 @@ def check(payload, spec: dict, where: str) -> None:
     for key, kind in spec.items():
         if key not in payload:
             raise DatasetError(f"{where} has no {key!r}")
-        if kind is object:
-            continue
         value = payload[key]
-        # isinstance's dispatch to accepts would double a time-series record's check
-        if not (kind.accepts(value) if kind.__class__ is _SpecType else _is(value, kind)):
+        if not _all_of((value,), kind):
             name = kind.__name__ if isinstance(kind, type) else (
                 str(kind).replace(f"{__name__}.", "").replace("typing.", ""))
             raise DatasetError(f"{where} {key!r} must be a {name}, "
@@ -145,8 +136,7 @@ def _check_block(block: list, spec: dict) -> bool:
             values = list(map(itemgetter(key), block))
         except KeyError:
             return False
-        if not (kind.accepts_all(values) if kind.__class__ is _SpecType
-                else all(map(_is, values, repeat(kind)))):
+        if not _all_of(values, kind):
             return False
     return True
 
@@ -160,6 +150,14 @@ def check_binary(targets, row: str = "row") -> None:
     if len(bad):
         where = f"{row} {bad[0][0]}" + (f", label column {bad[0][1]}" if targets.ndim == 2 else "")
         raise ValueError(f"{where}: target {targets[tuple(bad[0])]} is not 0 or 1")
+
+
+def as_int(value, name: str) -> int:
+    """``value``, an integer (a numpy one too) but not a bool, as an int;
+    anything else raises ValueError naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def write_json(payload, path) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, backward
-from .dataset import _UNDECODABLE, Integer, check, check_binary
+from .dataset import _UNDECODABLE, Integer, as_int, check, check_binary
 from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
@@ -55,8 +55,9 @@ class ModelDims:
     d_l: int = 30
 
     def __post_init__(self):
-        self.leaf_counts = tuple(self.leaf_counts)
+        self.leaf_counts = tuple(as_int(c, "leaf_counts") for c in self.leaf_counts)
         for name in ("vocab_size", "n_labels", "d_e", "d_lstm", "d_t", "d_l"):
+            setattr(self, name, as_int(getattr(self, name), name))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if any(c <= 0 for c in self.leaf_counts):
@@ -444,7 +445,8 @@ class TrainSettings:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        for name, low in (("epochs", 1), ("learning_rate", 0.0), ("clip_norm", 0.0)):
+        self.epochs, self.seed = as_int(self.epochs, "epochs"), as_int(self.seed, "seed")
+        for name, low in (("epochs", 1), ("seed", 0), ("learning_rate", 0.0), ("clip_norm", 0.0)):
             value = getattr(self, name)
             if not low <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= {low}, got {value}")

@@ -18,6 +18,7 @@ column's source id is ``field=value``; the field names never contain "=".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -134,8 +135,9 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
     One pass over the records gathers every cell. Time series are then
     reduced per length: each row of a (series, length) matrix is summed in
     the same order as np.mean on that series alone, so every mean is bitwise
-    the per-series one. A non-finite series value, or a non-numeric value in
-    a numeric singleton field, raises RecordError naming the admission.
+    the per-series one. A non-finite series value, or a non-numeric or
+    non-finite value in a numeric singleton field, raises RecordError naming
+    the admission.
     """
     record_sets = list(record_sets)
     ids = [rs.admission_id for rs in record_sets]
@@ -179,6 +181,9 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
                 if not _is_numeric(value):
                     raise RecordError(f"admission {rs.admission_id}: singleton field "
                                       f"{fld!r} is numeric, got {value!r}")
+                if not math.isfinite(value):
+                    raise RecordError(f"admission {rs.admission_id}: non-finite value "
+                                      f"{value!r} in singleton field {fld!r}")
                 num_rows.append(r)
                 num_cols.append(col)
                 num_vals.append(float(value))

@@ -33,7 +33,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dataset import (FiniteNumber, Integer, check, check_binary, json_sha256, read_json,
+from .dataset import (FiniteNumber, Integer, as_int, check, check_binary, json_sha256, read_json,
                       write_json)
 
 # Boosting starts from a constant half-probability model, so the logistic
@@ -56,6 +56,8 @@ class TreeTrainConfig:
     min_positives: int = 10
 
     def __post_init__(self):
+        for name in ("max_depth", "min_child_rows", "min_positives"):
+            setattr(self, name, as_int(getattr(self, name), name))
         for name, low in (("max_depth", 0), ("min_child_rows", 1), ("min_positives", 0),
                           ("learning_rate", 0.0), ("l2_lambda", 0.0)):
             if not low <= getattr(self, name) < math.inf:

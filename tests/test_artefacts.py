@@ -23,19 +23,21 @@ def make_schema():
     ])
 
 
-def make_ensemble():
+def make_ensemble(max_depth=1, min_positives=1):
     x = np.random.default_rng(0).normal(size=(40, 3))
     labels = np.stack([x[:, 0] > 0, x[:, 1] > 0.5], axis=1)
-    return trees.train_ensemble(x, labels, trees.TreeTrainConfig(max_depth=1, min_positives=1))
+    return trees.train_ensemble(x, labels, trees.TreeTrainConfig(max_depth=max_depth,
+                                                                 min_positives=min_positives))
 
 
 def make_manifest():
     return dataset.split_ids([f"d{i}" for i in range(10)], (0.6, 0.2, 0.2), seed=3)
 
 
-def make_checkpoint():
-    dims = model.ModelDims(vocab_size=6, n_labels=2, leaf_counts=(2, 3), d_e=3, d_lstm=2,
-                           d_t=2, d_l=2)
+def make_checkpoint(int_type=int):
+    dims = model.ModelDims(**{name: int_type(size) for name, size in
+                              dict(vocab_size=6, n_labels=2, d_e=3, d_lstm=2, d_t=2, d_l=2).items()},
+                           leaf_counts=tuple(map(int_type, (2, 3))))
     return model.init_params(dims, np.random.default_rng(1))
 
 
@@ -112,6 +114,17 @@ def test_in_memory_round_trips(tmp_path):
         path = tmp_path / filename
         path.write_text(json.dumps(payload))
         assert canonical(load(path)) == payload
+
+
+def test_numpy_integer_counts_round_trip(tmp_path):
+    # counts given as numpy integers are stored as ints, which JSON can hold
+    ensemble = make_ensemble(max_depth=np.int64(1), min_positives=np.int32(1))
+    trees.save_ensemble(ensemble, tmp_path / "ensemble.json")
+    assert (trees.ensemble_to_dict(trees.load_ensemble(tmp_path / "ensemble.json"))
+            == trees.ensemble_to_dict(make_ensemble()))
+    save_checkpoint(make_checkpoint(np.int64), tmp_path / "ckpt.npz")
+    assert (checkpoint_canonical(load_checkpoint(tmp_path / "ckpt.npz"))
+            == checkpoint_canonical(make_checkpoint()))
 
 
 def test_schema_file_layout(tmp_path):

@@ -665,6 +665,19 @@ class TestTapeMechanics:
         assert_bitwise(x.grad, dh * (1.0 - h.data * h.data))
         np.testing.assert_array_equal(w.grad, h.data)
 
+    def test_add_gives_each_input_its_own_gradient(self):
+        # p and q take their first gradient from one add, then p takes
+        # another from r; q's gradient must not see p's second share
+        a, b = Tensor(np.array([0.5, -2.0])), Tensor(np.array([3.0, 0.25]))
+        w = Tensor(np.array([1.5, -0.75]))
+        with Tape() as tape:
+            p, q = ad.mul(a, w), ad.mul(b, w)
+            r = ad.mul(p, w)
+            loss = ad.reduce_sum(ad.add(r, ad.add(p, q)))
+        backward(tape, loss)
+        assert_bitwise(b.grad, w.data)
+        assert_bitwise(a.grad, (1.0 + w.data) * w.data)
+
     def test_parameter_buffers_survive_backward(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 4)))

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from types import UnionType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +114,12 @@ class TestBlockCheck:
                 for block in (decoded([rec, sample]), decoded([sample, rec, sample])):
                     assert dataset._check_block(block, spec) == check_accepts_all(block, spec), (
                         block)
+
+    def test_check_and_block_test_agree_on_a_float_subclass(self):
+        # json never decodes one, but a record and a block answer alike
+        block, spec = [{"v": np.float64(1.0)}], {"v": FiniteNumber}
+        assert not dataset._check_block(block, spec)
+        assert not check_accepts_all(block, spec)
 
 
 class TestFaultLocation:

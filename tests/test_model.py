@@ -57,6 +57,10 @@ class TestDims:
     @pytest.mark.parametrize("name, value, message", [
         ("vocab_size", 0, "vocab_size"), ("d_lstm", -1, "d_lstm"),
         ("leaf_counts", (2, 0), "at least one leaf"),
+        # sizes and leaf counts are integers, never floats or bools
+        ("vocab_size", 6.0, "vocab_size"), ("n_labels", True, "n_labels"),
+        ("d_l", 2.5, "d_l"), ("leaf_counts", (2, 1.5), "leaf_counts"),
+        ("leaf_counts", (True, 2), "leaf_counts"),
     ])
     def test_bad_dims_rejected_at_construction(self, name, value, message):
         with pytest.raises(ValueError, match=message):
@@ -527,7 +531,8 @@ class TestTraining:
         assert result.log_rows[0]["train_micro_f1"] == expected
 
     @pytest.mark.parametrize("name, value", [
-        ("epochs", 0), ("epochs", -2),
+        ("epochs", 0), ("epochs", -2), ("epochs", 2.5), ("epochs", True),
+        ("seed", 1.5), ("seed", -1), ("seed", False),
         ("learning_rate", -1.0), ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
         ("clip_norm", -1.0), ("clip_norm", float("nan")), ("clip_norm", float("inf")),

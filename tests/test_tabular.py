@@ -250,6 +250,20 @@ class TestCells:
         with pytest.raises(RecordError, match=r"adm7: singleton field 'age' is numeric"):
             apply_schema(recs, schema)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_numeric_singleton_names_admission_and_field(self, value):
+        recs = [make_admission("ok", singles={"age": 1.0}),
+                make_admission("adm7", singles={"age": value})]
+        complaint = re.escape(f"adm7: non-finite value {value!r} in singleton field 'age'")
+        # the training table
+        with pytest.raises(RecordError, match=complaint):
+            build_feature_table(recs)
+        # a scoring table, against the frozen training schema
+        _, schema = build_feature_table(small_training_set())
+        with pytest.raises(RecordError, match=complaint):
+            apply_schema(recs, schema)
+
     def test_ts_aggregates_in_row(self):
         table, schema = build_feature_table(small_training_set())
         idx = column_index(schema)

@@ -505,6 +505,11 @@ BAD_CONFIG_FIELDS = [
     ("max_depth", -1),
     ("min_child_rows", 0),
     ("min_positives", -1),
+    # counts are integers, never floats or bools
+    ("max_depth", 2.5),
+    ("max_depth", True),
+    ("min_child_rows", 1.5),
+    ("min_positives", 2.5),
     ("learning_rate", -0.5),
     ("learning_rate", np.inf),
     ("learning_rate", np.nan),

@@ -304,12 +304,36 @@ def _runs(lengths: np.ndarray, budget: int):
         start = stop
 
 
+def _split_leaf_rows(dims: ModelDims, mode: str, docs, assignments) -> np.ndarray | None:
+    """Every document's ``leaf_table`` rows, tested as one split: documents
+    1-D and non-empty, one range test over all token ids and, where ``mode``
+    fuses leaves, one over the documents x trees stacked assignments. None
+    for an empty split, a failed test or assignments that do not stack
+    (None, ragged or past int64)."""
+    if not docs or any(ids.ndim != 1 or ids.size == 0 for ids in docs):
+        return None
+    tokens = np.concatenate(docs)
+    if tokens.min() < 0 or tokens.max() >= dims.vocab_size:
+        return None
+    if mode not in LEAF_MODES:
+        return np.empty((len(docs), dims.n_trees), dtype=np.int64)
+    counts = np.asarray(dims.leaf_counts, dtype=np.int64)
+    try:
+        leaves = np.array(assignments, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if leaves.shape != (len(docs), counts.size) or ((leaves < 0) | (leaves >= counts)).any():
+        return None
+    return leaves + (np.cumsum(counts) - counts)
+
+
 def _checked_split(params: ModelParams, mode: str, docs, assignments,
                    targets=None, split: str | None = None):
     """A split's int64 token arrays and, where ``mode`` fuses leaves, the
     ``leaf_table`` rows of each document, after checking the whole split,
     its 0/1 targets when given. Errors name the split, when given, and the
-    document."""
+    first faulty document: a split that fails the whole-split test is
+    checked again one document at a time."""
     at = "" if split is None else f"{split} split, "
     if assignments is None:
         assignments = [None] * len(docs)
@@ -323,6 +347,9 @@ def _checked_split(params: ModelParams, mode: str, docs, assignments,
                              f"got shape {np.shape(targets)}")
         check_binary(targets, f"{at}document")
     docs = [np.asarray(ids, dtype=np.int64) for ids in docs]
+    leaf_rows = _split_leaf_rows(params.dims, mode, docs, assignments)
+    if leaf_rows is not None:
+        return docs, leaf_rows
     leaf_rows = np.empty((len(docs), params.dims.n_trees), dtype=np.int64)
     for i, ids in enumerate(docs):
         try:
@@ -339,6 +366,21 @@ def _checked_split(params: ModelParams, mode: str, docs, assignments,
         except (IndexError, ValueError) as exc:
             raise type(exc)(f"{at}document {i}: {exc}") from None
     return docs, leaf_rows
+
+
+def _distinct_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, axis=1, return_inverse=True)`` for a 2-D array: its
+    distinct columns in lexicographic order (row 0 first) and the index of
+    each column among them. One ``np.lexsort`` over the rows and one
+    compare of neighbouring sorted columns, where numpy sorts the columns as
+    structured elements of one field per row."""
+    order = np.lexsort(a[::-1])
+    ranked = a[:, order]
+    first = np.ones(a.shape[1], dtype=bool)
+    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    inverse = np.empty(a.shape[1], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[:, first], inverse
 
 
 def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndarray:
@@ -377,7 +419,7 @@ def predict_matrix(params: ModelParams, docs, assignments, mode: str) -> np.ndar
         # duplicate key columns share one product column, so their scores
         # are bitwise equal and uniform attention is exactly uniform;
         # average runs the same product, so the two then agree bitwise
-        keys, key_of_tree = np.unique(params.tree_keys.data, axis=1, return_inverse=True)
+        keys, key_of_tree = _distinct_columns(params.tree_keys.data)
         row_weights = np.hstack((params.query_proj.data.T @ keys, row_weights))
         leaf_out = params.leaf_table.data @ G[d_h:]
 

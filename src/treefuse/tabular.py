@@ -82,7 +82,9 @@ class FeatureTable:
 
 
 def _is_numeric(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Python and numpy integers and floats; a bool (Python's or numpy's)
+    is categorical."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def build_schema(record_sets) -> FeatureSchema:
@@ -136,8 +138,8 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
     reduced per length: each row of a (series, length) matrix is summed in
     the same order as np.mean on that series alone, so every mean is bitwise
     the per-series one. A non-finite series value, or a non-numeric or
-    non-finite value in a numeric singleton field, raises RecordError naming
-    the admission.
+    non-finite value in a numeric singleton field (an integer past the float
+    range counts as infinite), raises RecordError naming the admission.
     """
     record_sets = list(record_sets)
     ids = [rs.admission_id for rs in record_sets]
@@ -181,12 +183,16 @@ def apply_schema(record_sets, schema: FeatureSchema) -> FeatureTable:
                 if not _is_numeric(value):
                     raise RecordError(f"admission {rs.admission_id}: singleton field "
                                       f"{fld!r} is numeric, got {value!r}")
-                if not math.isfinite(value):
+                try:
+                    number = float(value)
+                except OverflowError:  # an integer past the float range
+                    number = math.inf if value > 0 else -math.inf
+                if not math.isfinite(number):
                     raise RecordError(f"admission {rs.admission_id}: non-finite value "
-                                      f"{value!r} in singleton field {fld!r}")
+                                      f"{number!r} in singleton field {fld!r}")
                 num_rows.append(r)
                 num_cols.append(col)
-                num_vals.append(float(value))
+                num_vals.append(number)
             else:
                 col = onehot_cols.get((fld, str(value)))
                 if col is not None:

@@ -9,6 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from treefuse import autodiff as ad
 from treefuse import model as tm
@@ -783,6 +784,48 @@ class TestPredictMatrix:
         docs, assignments = self.docs_and_assignments([3, 2, 4])
         with pytest.raises(error, match=re.escape(f"document 2: {message}")):
             predict_matrix(params, docs, assignments[:2] + [assignment], "attention")
+
+    @pytest.mark.parametrize("token_first", [True, False], ids=["token_first", "leaf_first"])
+    @pytest.mark.parametrize("ids, token_error, token_message", [
+        (np.array([1, TOY.vocab_size]), IndexError, "token id out of range [0, 12)"),
+        (np.array([-1, 2]), IndexError, "token id out of range [0, 12)"),
+        (np.array([], dtype=np.int64), ValueError, "cannot encode an empty document"),
+        (np.array([[1, 2]]), ValueError, "token ids must be 1-D, got shape (1, 2)"),
+    ], ids=["token_high", "token_negative", "empty", "two_d"])
+    @pytest.mark.parametrize("assignment, leaf_error, leaf_message", [
+        (np.array([0]), ValueError, "assignment length (1,) does not match 2 trees"),
+        (None, ValueError, "fusion mode 'attention' needs a leaf assignment"),
+        (np.array([3, 0]), IndexError, "leaf 3 out of range [0, 3) for tree 0"),
+    ], ids=["ragged", "missing", "out_of_range"])
+    def test_first_of_two_faulty_documents_is_named(self, token_first, ids, token_error,
+                                                     token_message, assignment, leaf_error,
+                                                     leaf_message):
+        params = toy_params()
+        docs, assignments = self.docs_and_assignments([3, 2, 4, 5, 1])
+        token_doc, leaf_doc = (1, 3) if token_first else (3, 1)
+        docs[token_doc], assignments[leaf_doc] = ids, assignment
+        error, message = ((token_error, token_message) if token_first
+                          else (leaf_error, leaf_message))
+        with pytest.raises(error, match=re.escape(f"document 1: {message}")):
+            predict_matrix(params, docs, assignments, "attention")
+
+    @given(st.data())
+    def test_distinct_columns_match_np_unique(self, data):
+        n_rows = data.draw(st.integers(1, 4))
+        # a few small values make columns repeat and tie in their leading
+        # rows; -0.0 and 0.0 are one value
+        value = st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 1.0, 3.25]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        pool = data.draw(st.lists(st.lists(value, min_size=n_rows, max_size=n_rows),
+                                  min_size=1, max_size=5))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+        a = np.array([pool[i] for i in picks]).T
+        keys, inverse = tm._distinct_columns(a)
+        want_keys, want_inverse = np.unique(a, axis=1, return_inverse=True)
+        np.testing.assert_array_equal(inverse, want_inverse)
+        assert keys.shape == want_keys.shape
+        np.testing.assert_array_equal(keys, want_keys)
+        np.testing.assert_array_equal(keys[:, inverse], a)
 
 
 class TestCheckpoint:

@@ -232,6 +232,23 @@ class TestCells:
         table = apply_schema([make_admission("x", singles={"kind=b": "c"})], schema)
         np.testing.assert_array_equal(table.values, [[0.0]])
 
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), np.float32(3.0)],
+                             ids=["int64", "uint8", "float32"])
+    def test_numpy_numbers_are_numeric(self, value):
+        # beside a Python int, and alone
+        for recs in ([make_admission("a", singles={"age": value}),
+                      make_admission("b", singles={"age": 4})],
+                     [make_admission("a", singles={"age": value})]):
+            table, schema = build_feature_table(recs)
+            assert [c.name for c in schema.columns] == ["singleton_numeric:age"]
+            np.testing.assert_array_equal(table.values[:, 0], [3.0, 4.0][:len(recs)])
+
+    def test_numpy_bool_is_categorical_like_bool(self):
+        for value in (True, np.True_):
+            table, schema = build_feature_table([make_admission("a", singles={"flag": value})])
+            assert [c.name for c in schema.columns] == ["singleton_onehot:flag=True"]
+            np.testing.assert_array_equal(table.values, [[1.0]])
+
     def test_absent_numeric_singleton_missing(self):
         recs = [
             make_admission("a", singles={"age": 60.0}),
@@ -241,8 +258,8 @@ class TestCells:
         idx = column_index(schema)
         assert np.isnan(table.values[1][idx["singleton_numeric:age"]])
 
-    @pytest.mark.parametrize("value", ["unknown", [3], True, "12"],
-                             ids=["string", "list", "bool", "numeric-string"])
+    @pytest.mark.parametrize("value", ["unknown", [3], True, np.True_, "12"],
+                             ids=["string", "list", "bool", "numpy-bool", "numeric-string"])
     def test_non_numeric_value_in_numeric_field_names_admission_and_field(self, value):
         _, schema = build_feature_table(small_training_set())
         recs = [make_admission("ok", singles={"age": 1}),
@@ -250,12 +267,15 @@ class TestCells:
         with pytest.raises(RecordError, match=r"adm7: singleton field 'age' is numeric"):
             apply_schema(recs, schema)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
-                             ids=["nan", "inf", "-inf"])
-    def test_non_finite_numeric_singleton_names_admission_and_field(self, value):
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"),
+        # integers past the float range read as infinities
+        (10**400, "inf"), (-(10**400), "-inf"),
+    ], ids=["nan", "inf", "-inf", "int-overflow", "negative-int-overflow"])
+    def test_non_finite_numeric_singleton_names_admission_and_field(self, value, shown):
         recs = [make_admission("ok", singles={"age": 1.0}),
                 make_admission("adm7", singles={"age": value})]
-        complaint = re.escape(f"adm7: non-finite value {value!r} in singleton field 'age'")
+        complaint = re.escape(f"adm7: non-finite value {shown} in singleton field 'age'")
         # the training table
         with pytest.raises(RecordError, match=complaint):
             build_feature_table(recs)

@@ -10,6 +10,12 @@ tensor that node produced: a tensor's node runs only after every consumer
 has added its share, so the sweep frees each op's saved arrays and each
 intermediate gradient as it passes them, and an emptied tape holds nothing.
 
+Most ops are single numpy operations. ``lstm_sequence`` is a whole
+bidirectional LSTM layer in one node: both directions step through the
+document in one loop, and its backward runs full backpropagation through
+time for both; ``lstm_scan`` is its forward-only, batched counterpart for
+scoring and records nothing.
+
 A parameter's gradient buffer is optimizer state: ``AdamState`` makes it
 zeroed and points ``grad`` at it, ``zero_grads`` refills it before each
 step, and training sets ``grad`` back to None when it ends. Any other
@@ -373,7 +379,8 @@ def binary_cross_entropy(yhat: Tensor, target: np.ndarray) -> Tensor:
 
 def _lstm_step(z, c, gates, c_out, tanh_c_out, h_out, e, mask, ig) -> None:
     """One LSTM step for one state (d) or a batch of states (n x d), written
-    into arrays the caller owns.
+    into arrays the caller owns. ``lstm_sequence`` passes a (2, d) pair, one
+    state per direction, and ``lstm_scan`` a batch of documents.
 
     ``z`` is the packed pre-activation (... x 4d). Writes the gates into
     ``gates`` (one sigmoid over all of ``z``, with the cell quarter then
@@ -394,104 +401,140 @@ def _lstm_step(z, c, gates, c_out, tanh_c_out, h_out, e, mask, ig) -> None:
     np.multiply(o, tanh_c_out, out=h_out)
 
 
-def lstm_sequence(
-    emb: Tensor,
-    w_input: Tensor,
-    w_hidden: Tensor,
-    bias: Tensor,
-    reverse: bool = False,
-) -> Tensor:
-    """Run a single LSTM direction over a token-major embedding matrix.
+def lstm_sequence(emb: Tensor, fwd: tuple[Tensor, Tensor, Tensor],
+                  bwd: tuple[Tensor, Tensor, Tensor]) -> Tensor:
+    """Run both LSTM directions over a token-major embedding matrix, as one
+    tape node.
 
-    ``emb`` is N x d_e; gate weights are packed [input, forget, cell, output]
-    along the first axis: ``w_input`` 4d x d_e, ``w_hidden`` 4d x d, ``bias``
-    4d. Initial hidden and cell states are zero. Output row i is the hidden
-    state at token i (for ``reverse`` the recurrence runs from the last token,
-    rows stay aligned with the input). Backward is truncated nowhere: full
-    backpropagation through time, recorded as one tape node.
+    ``emb`` is N x d_e. ``fwd`` and ``bwd`` are each a ``(w_input,
+    w_hidden, bias)`` triple with the gate weights packed [input, forget,
+    cell, output] along the first axis: ``w_input`` 4d x d_e, ``w_hidden``
+    4d x d, ``bias`` 4d. Initial hidden and cell states are zero. Output row
+    i holds the forward direction's hidden state at token i, then the
+    reverse direction's, whose recurrence runs from the last token; both
+    halves stay aligned with the input rows. Backward is truncated nowhere:
+    full backpropagation through time.
 
-    Buffers are indexed by step k, the k-th token visited. ``gates`` is
-    N x 4d: one sigmoid over the packed pre-activation per step, with the
-    cell slice then overwritten by tanh. ``hs``/``cs`` are (N+1) x d with
-    row 0 the zero initial state, so ``hs[:-1]`` holds every step's previous
-    hidden state; ``tanh_c`` is N x d. Every buffer is made before the step
-    loop: step k computes ``wh @ hs[k]`` into one 4d pre-activation array,
-    adds its input projection there, and ``_lstm_step`` writes the gates,
-    cell, tanh and hidden state straight into row k of their buffers. The
-    forward output is bitwise equal to evaluating the gates one slice at a
-    time. Backward runs only the recurrence in the loop: the gate-local
-    derivatives are precomputed into ``dpre``, each step scales its row
-    into its pre-activation gradient in place, and the weight, bias and
-    input gradients are single products over all of ``dpre`` after the loop.
-    Those sums run in a different order from a per-step accumulation, so
-    gradients agree with it to rounding.
+    Buffers are indexed by step k, the k-th token each direction visits
+    (token k forward, token N-1-k in reverse), with the two directions side
+    by side: ``gates`` is N x 2 x 4d, ``hs`` and ``cs`` are (N+1) x 2 x d
+    with row 0 the zero initial state, so ``hs[:-1]`` holds every step's
+    previous hidden states, and ``tanh_c`` is N x 2 x d. Every buffer is
+    made before the step loop. Each direction's input projection is written
+    into its own half of ``gates``, which holds it until the step writes the
+    gates over it. Step k takes one ``w_hidden @ h`` matvec per direction
+    into a (2, 4d) pre-activation, adds both projections in one add, and
+    runs one ``_lstm_step`` over the pair. The directions keep separate
+    matvecs because a stacked or batched product rounds differently; so the
+    states are bitwise equal to running each direction alone, one gate
+    slice at a time.
+
+    Backward derives the pre-activation gradients ``dpre`` inside ``gates``
+    with one N x 2 x d spare array: each gate quarter's local derivative is
+    built in the spare and copied over the quarter once no other quarter
+    needs its value. The output quarter goes first, while ``tanh_c``
+    becomes ``o (1 - tanh(c)^2)``; the forget gate is copied into
+    ``cs[:-1]`` once its derivative has used the previous cells; the spare
+    then holds the upstream rows in step order. The loop runs only the
+    recurrence, on (2, d) arrays made before it, scaling each step's row of
+    ``dpre`` in place. Each direction's weight, bias and input gradients are
+    then single products over its half of ``dpre``. Those sums run in a
+    different order from a per-step accumulation, so gradients agree with
+    it to rounding.
     """
     E = emb.data
     if E.ndim != 2:
         raise ValueError(f"lstm_sequence needs a 2-D embedding matrix, got {E.shape}")
-    wx, wh, b = w_input.data, w_hidden.data, bias.data
-    d = wh.shape[1]
-    if wx.shape[0] != 4 * d or wh.shape[0] != 4 * d or b.shape != (4 * d,):
-        raise ValueError(
-            f"lstm weight shapes inconsistent: w_input {wx.shape}, w_hidden {wh.shape}, bias {b.shape}"
-        )
-    if wx.shape[1] != E.shape[1]:
-        raise ValueError(f"lstm input width {wx.shape[1]} != embedding width {E.shape[1]}")
+    d = fwd[1].data.shape[1]
+    for w_input, w_hidden, bias in (fwd, bwd):
+        wx, wh, b = w_input.data, w_hidden.data, bias.data
+        if wx.shape[0] != 4 * d or wh.shape != (4 * d, d) or b.shape != (4 * d,):
+            raise ValueError(
+                f"lstm weight shapes inconsistent: w_input {wx.shape}, w_hidden {wh.shape}, bias {b.shape}"
+            )
+        if wx.shape[1] != E.shape[1]:
+            raise ValueError(f"lstm input width {wx.shape[1]} != embedding width {E.shape[1]}")
 
     n = E.shape[0]
-    pre = E @ wx.T + b
-    if reverse:
-        pre = pre[::-1]
-
-    gates = np.empty((n, 4 * d))
-    hs = np.zeros((n + 1, d))
-    cs = np.zeros((n + 1, d))
-    tanh_c = np.empty((n, d))
-    z, e = np.empty(4 * d), np.empty(4 * d)
-    mask, ig = np.empty(4 * d, dtype=bool), np.empty(d)
+    gates = np.empty((n, 2, 4 * d))
+    # the reverse projection goes in step order, so step k reads row N-1-k
+    for pre, (w_input, _, bias) in zip((gates[:, 0], gates[::-1, 1]), (fwd, bwd)):
+        np.matmul(E, w_input.data.T, out=pre)
+        pre += bias.data
+    hs = np.zeros((n + 1, 2, d))
+    cs = np.zeros((n + 1, 2, d))
+    tanh_c = np.empty((n, 2, d))
+    z, e = np.empty((2, 4 * d)), np.empty((2, 4 * d))
+    mask, ig = np.empty((2, 4 * d), dtype=bool), np.empty((2, d))
+    (z_f, z_b), wh_f, wh_b = z, fwd[1].data, bwd[1].data
     for k in range(n):
-        np.matmul(wh, hs[k], out=z)
-        z += pre[k]
+        np.matmul(wh_f, hs[k, 0], out=z_f)
+        np.matmul(wh_b, hs[k, 1], out=z_b)
+        z += gates[k]
         _lstm_step(z, cs[k], gates[k], cs[k + 1], tanh_c[k], hs[k + 1], e, mask, ig)
 
-    out = Tensor(hs[:0:-1].copy() if reverse else hs[1:])
+    out = np.empty((n, 2 * d))
+    out[:, :d] = hs[1:, 0]
+    out[:, d:] = hs[:0:-1, 1]
 
     def bw(G: np.ndarray) -> None:
-        gi, gf, gc, go = (gates[:, j * d : (j + 1) * d] for j in range(4))
-        # d(loss)/dc through h = o * tanh(c)
-        o_dtanh = go * (1.0 - tanh_c * tanh_c)
+        gi, gf, gc, go = (gates[..., j * d : (j + 1) * d] for j in range(4))
+        spare = np.empty((n, 2, d))
         # dpre = [dc, dc, dc, dh] * local, local being each gate's partner
-        # times the derivative of its own nonlinearity: local is built in
-        # dpre's array, and each step scales its own row in place
-        dpre = gates * (1.0 - gates)
-        dpre[:, 2 * d : 3 * d] = 1.0 - gc * gc
-        dpre[:, :d] *= gc
-        dpre[:, d : 2 * d] *= cs[:-1]
-        dpre[:, 2 * d : 3 * d] *= gi
-        dpre[:, 3 * d :] *= tanh_c
+        # times the derivative of its own nonlinearity; each quarter's local
+        # is built in the spare before the quarter is overwritten
+        np.subtract(1.0, go, out=spare)
+        spare *= go
+        spare *= tanh_c
+        # d(loss)/dc through h = o * tanh(c), kept in tanh_c
+        np.multiply(tanh_c, tanh_c, out=tanh_c)
+        np.subtract(1.0, tanh_c, out=tanh_c)
+        np.multiply(tanh_c, go, out=tanh_c)
+        go[...] = spare
+        np.subtract(1.0, gi, out=spare)
+        spare *= gi
+        spare *= gc
+        gc *= gc
+        np.subtract(1.0, gc, out=gc)
+        gc *= gi
+        gi[...] = spare
+        np.subtract(1.0, gf, out=spare)
+        spare *= gf
+        spare *= cs[:-1]
+        cs[:-1] = gf
+        gf[...] = spare
+        forget, o_dtanh, upstream = cs, tanh_c, spare
+        upstream[:, 0] = G[:, :d]
+        upstream[:, 1] = G[::-1, d:]
 
-        Gs = G[::-1] if reverse else G
-        whT = np.ascontiguousarray(wh.T)
-        dpre4 = dpre.reshape(n, 4, d)
-        dh_next = np.zeros(d)
-        dc_next = np.zeros(d)
+        whT_f, whT_b = (np.ascontiguousarray(w_hidden.data.T) for _, w_hidden, _ in (fwd, bwd))
+        dpre4 = gates.reshape(n, 2, 4, d)
+        dh, dc = np.empty((2, d)), np.empty((2, d))
+        dh_next, dc_next = np.zeros((2, d)), np.zeros((2, d))
+        dh_f, dh_b = dh_next
+        dc_cols = dc[:, None]
         for k in range(n - 1, -1, -1):
-            dh = Gs[k] + dh_next
-            dc = dh * o_dtanh[k] + dc_next
-            dpre4[k, :3] *= dc
-            dpre4[k, 3] *= dh
-            dc_next = dc * gf[k]
-            dh_next = whT @ dpre[k]
-        del o_dtanh
+            np.add(upstream[k], dh_next, out=dh)
+            np.multiply(dh, o_dtanh[k], out=dc)
+            dc += dc_next
+            dpre4[k, :, :3] *= dc_cols
+            dpre4[k, :, 3] *= dh
+            np.multiply(dc, forget[k], out=dc_next)
+            np.matmul(whT_f, gates[k, 0], out=dh_f)
+            np.matmul(whT_b, gates[k, 1], out=dh_b)
+        # before the gradient products: the backward peaks in the loop
+        del upstream, spare, whT_f, whT_b
 
-        w_hidden.accumulate_grad(dpre.T @ hs[:-1])
-        bias.accumulate_grad(dpre.sum(axis=0))
-        if reverse:
-            dpre = dpre[::-1]
-        w_input.accumulate_grad(dpre.T @ E)
-        emb.accumulate_grad(dpre @ wx)
+        for j, (w_input, w_hidden, bias) in enumerate((fwd, bwd)):
+            dpre = gates[:, j]
+            w_hidden.accumulate_grad(dpre.T @ hs[:-1, j])
+            bias.accumulate_grad(dpre.sum(axis=0))
+            if j:
+                dpre = dpre[::-1]
+            w_input.accumulate_grad(dpre.T @ E)
+            emb.accumulate_grad(dpre @ w_input.data)
 
-    return _finish(out, bw)
+    return _finish(Tensor(out), bw)
 
 
 def lstm_scan(table, ids, lengths, w_input, w_hidden, bias, out) -> None:

@@ -1,12 +1,13 @@
 """The full network and its training loop.
 
 Pipeline per document: token embeddings feed a bidirectional LSTM giving
-one d_h-vector per token; each token vector is projected to a query that
-attends over per-tree key vectors, pulling in a mixture of the activated
-leaf embeddings; the concatenated text+leaf vector is projected back to
-d_m = d_h; per-label attention over token positions then yields one vector
-per label, scored by a per-label linear layer and sigmoid. The loss is the
-summed binary cross-entropy over labels.
+one d_h-vector per token, its two directions stepped together as one tape
+op (``autodiff.lstm_sequence``); each token vector is projected to a query
+that attends over per-tree key vectors, pulling in a mixture of the
+activated leaf embeddings; the concatenated text+leaf vector is projected
+back to d_m = d_h; per-label attention over token positions then yields
+one vector per label, scored by a per-label linear layer and sigmoid. The
+loss is the summed binary cross-entropy over labels.
 
 The fusion step has four modes: `attention` as above; `average` and
 `maxpool` replace the attention mixture with a uniform average or a
@@ -157,16 +158,19 @@ def init_params(dims: ModelDims, rng) -> ModelParams:
 
 
 def encode_text(token_ids: np.ndarray, params: ModelParams) -> Tensor:
-    """Token ids -> N x d_h bidirectional LSTM states."""
+    """Token ids -> N x d_h bidirectional LSTM states, the forward
+    direction's d_lstm columns then the reverse direction's, as two tape
+    nodes: the embedding gather and one ``lstm_sequence`` over both
+    directions."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.size == 0:
         raise ValueError("cannot encode an empty document")
     emb = ad.gather(params.word_emb, token_ids)
-    fwd = ad.lstm_sequence(emb, params.lstm_fwd_wx, params.lstm_fwd_wh,
-                           params.lstm_fwd_b)
-    bwd = ad.lstm_sequence(emb, params.lstm_bwd_wx, params.lstm_bwd_wh,
-                           params.lstm_bwd_b, reverse=True)
-    return ad.concat([fwd, bwd], axis=1)
+    return ad.lstm_sequence(
+        emb,
+        (params.lstm_fwd_wx, params.lstm_fwd_wh, params.lstm_fwd_b),
+        (params.lstm_bwd_wx, params.lstm_bwd_wh, params.lstm_bwd_b),
+    )
 
 
 def _leaf_rows(assignment, leaf_counts) -> np.ndarray:

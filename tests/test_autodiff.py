@@ -373,63 +373,76 @@ class TestBCE:
 
 
 class TestLSTM:
-    def _params(self, d_in, d_hid):
+    def _params(self, d_in, d_hid, rng=RNG):
         scale = 0.4
-        wx = RNG.normal(size=(4 * d_hid, d_in)) * scale
-        wh = RNG.normal(size=(4 * d_hid, d_hid)) * scale
-        b = RNG.normal(size=4 * d_hid) * scale
+        wx = rng.normal(size=(4 * d_hid, d_in)) * scale
+        wh = rng.normal(size=(4 * d_hid, d_hid)) * scale
+        b = rng.normal(size=4 * d_hid) * scale
         return wx, wh, b
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_fd(self, reverse):
+    def _run(self, emb, fwd, bwd):
+        """Both halves of ``lstm_sequence`` on plain arrays."""
+        return ad.lstm_sequence(Tensor(emb), tuple(map(Tensor, fwd)),
+                                tuple(map(Tensor, bwd))).data
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_fd(self, tied):
+        # tied: one weight triple serves both directions, so its gradient
+        # is the sum of theirs
         for _ in range(6):
             n = int(RNG.integers(1, 5))
             d_in, d_hid = 3, 2
             emb = RNG.normal(size=(n, d_in))
-            wx, wh, b = self._params(d_in, d_hid)
-            w = RNG.normal(size=(n, d_hid))
-            run_fd_check(
-                lambda e, x, h, bb, wt=w: ad.reduce_sum(
-                    ad.mul(ad.lstm_sequence(e, x, h, bb, reverse=reverse), Tensor(wt))
-                ),
-                [emb, wx, wh, b],
-            )
+            arrays = [emb, *self._params(d_in, d_hid)]
+            if not tied:
+                arrays += self._params(d_in, d_hid)
+            w = RNG.normal(size=(n, 2 * d_hid))
 
-    @pytest.mark.parametrize("reverse", [False, True])
+            def build(e, *weights, wt=w):
+                fwd, bwd = weights[:3], weights[-3:]
+                return ad.reduce_sum(ad.mul(ad.lstm_sequence(e, fwd, bwd), Tensor(wt)))
+
+            run_fd_check(build, arrays)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
-    def test_matches_stepwise_bptt(self, n, reverse):
+    def test_matches_stepwise_bptt(self, n):
         d_in, d_hid = 6, 5
-        rng = np.random.default_rng([n, reverse])
+        rng = np.random.default_rng([n, 2])
         emb = rng.normal(size=(n, d_in))
-        wx = rng.normal(size=(4 * d_hid, d_in)) * 0.4
-        wh = rng.normal(size=(4 * d_hid, d_hid)) * 0.4
-        b = rng.normal(size=4 * d_hid) * 0.4
-        upstream = rng.normal(size=(n, d_hid))
-        states, *grads = stepwise_lstm(emb, wx, wh, b, upstream, reverse=reverse)
+        dirs = [self._params(d_in, d_hid, rng) for _ in range(2)]
+        upstream = rng.normal(size=(n, 2 * d_hid))
+        refs = [stepwise_lstm(emb, *dirs[j], upstream[:, j * d_hid : (j + 1) * d_hid],
+                              reverse=bool(j)) for j in range(2)]
 
-        tensors = [Tensor(a) for a in (emb, wx, wh, b)]
+        emb_t = Tensor(emb)
+        triples = [tuple(map(Tensor, w)) for w in dirs]
         with Tape() as tape:
-            out = ad.lstm_sequence(*tensors, reverse=reverse)
+            out = ad.lstm_sequence(emb_t, *triples)
             loss = ad.reduce_sum(ad.mul(out, Tensor(upstream)))
         backward(tape, loss)
 
-        np.testing.assert_array_equal(out.data, states)
         # the weight gradients are summed in another order, so entries that
         # nearly cancel differ more than 1e-12 of themselves; the bound is
         # relative to each array's largest entry
-        for t, want in zip(tensors, grads):
-            np.testing.assert_allclose(t.grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        for j, (triple, (states, _, *grads)) in enumerate(zip(triples, refs)):
+            np.testing.assert_array_equal(out.data[:, j * d_hid : (j + 1) * d_hid], states)
+            for t, want in zip(triple, grads):
+                close(t.grad, want)
+        close(emb_t.grad, refs[0][1] + refs[1][1])
 
     @pytest.mark.parametrize("distinct_rows", [False, True])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_scan_matches_per_document_sequence(self, reverse, distinct_rows):
         # documents repeat tokens and never hold id 0, the padding id; the
-        # scan is handed either the whole table or only the distinct rows
+        # scan is handed either the whole table or only the distinct rows,
+        # and runs the direction ``reverse`` names
         d_in, d_hid = 4, 3
         rng = np.random.default_rng([7, reverse, distinct_rows])
         table = rng.normal(size=(9, d_in))
-        wx, wh, b = (rng.normal(size=s) * 0.4
-                     for s in ((4 * d_hid, d_in), (4 * d_hid, d_hid), (4 * d_hid,)))
+        dirs = [self._params(d_in, d_hid, rng) for _ in range(2)]
         lengths = np.array([7, 7, 5, 2, 1])
         docs = [rng.integers(1, 5, size=n) for n in lengths]
         ids = np.zeros((lengths[0], len(docs)), dtype=np.int64)
@@ -443,12 +456,11 @@ class TestLSTM:
         # a strided view, as scoring passes one half of its output buffer
         buf = np.full((lengths[0], len(docs), 2 * d_hid), np.nan)
         out = buf[:, :, d_hid:]
-        ad.lstm_scan(rows, ids, lengths, wx, wh, b, out)
+        ad.lstm_scan(rows, ids, lengths, *dirs[reverse], out)
 
         for j, doc in enumerate(docs):
-            states = ad.lstm_sequence(Tensor(table[doc]), Tensor(wx), Tensor(wh),
-                                      Tensor(b), reverse=reverse).data
-            want = states[::-1] if reverse else states
+            states = self._run(table[doc], *dirs)
+            want = states[::-1, d_hid:] if reverse else states[:, :d_hid]
             np.testing.assert_allclose(out[: lengths[j], j], want, rtol=1e-12, atol=0)
             assert np.isnan(out[lengths[j] :, j]).all()
         assert np.isnan(buf[:, :, :d_hid]).all()
@@ -541,41 +553,74 @@ class TestLSTM:
             with pytest.raises(IndexError):
                 ad.lstm_scan(table, ids, np.array([2, 2]), wx, wh, b, np.empty((2, 2, 2)))
 
+    def test_default_dims_memory(self):
+        # default d_e and d_lstm, a 250-token document; the weights own
+        # zeroed gradient buffers, as under AdamState
+        n, d_in, d_hid = 250, 100, 128
+        rng = np.random.default_rng(10)
+        emb = Tensor(rng.normal(size=(n, d_in)))
+        triples = [tuple(map(Tensor, self._params(d_in, d_hid, rng))) for _ in range(2)]
+        for t in triples[0] + triples[1]:
+            t.grad = np.zeros_like(t.data)
+        upstream = rng.normal(size=(n, 2 * d_hid))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ad.lstm_sequence(emb, *triples)
+            after_forward, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            (_, bw), = tape._nodes
+            bw(upstream)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mib = 2**20
+        # the forward keeps what it makes: the input projections are written
+        # into the gates buffer, never into arrays of their own
+        assert forward_peak <= after_forward + 0.1 * mib
+        # the backward derives dpre in the gates buffer; its spare array and
+        # the two contiguous w_hidden transposes come to 1.5 MiB
+        assert backward_peak <= after_forward + 1.75 * mib
+
     def test_matches_scalar_recurrence(self):
         from oracles import scalar_lstm_states
 
         tokens = [0.3, -1.2, 0.7, 2.0]
-        wx = np.array([0.5, -0.3, 0.8, 0.1])
-        wh = np.array([0.2, 0.4, -0.6, 0.9])
-        b = np.array([0.05, -0.1, 0.2, 0.0])
-        expected = scalar_lstm_states(tokens, wx, wh, b)
+        fwd = (np.array([0.5, -0.3, 0.8, 0.1]), np.array([0.2, 0.4, -0.6, 0.9]),
+               np.array([0.05, -0.1, 0.2, 0.0]))
+        bwd = (np.array([-0.4, 0.6, 0.3, -0.2]), np.array([0.7, -0.5, 0.1, 0.3]),
+               np.array([0.1, 0.0, -0.15, 0.05]))
+        expected_fwd = scalar_lstm_states(tokens, *fwd)
+        expected_bwd = scalar_lstm_states(tokens[::-1], *bwd)[::-1]
 
         emb = np.array(tokens).reshape(-1, 1)
-        out = ad.lstm_sequence(
-            Tensor(emb), Tensor(wx.reshape(4, 1)), Tensor(wh.reshape(4, 1)), Tensor(b)
-        )
-        np.testing.assert_allclose(out.data[:, 0], expected, atol=1e-12)
+        out = self._run(emb, *((wx.reshape(4, 1), wh.reshape(4, 1), b) for wx, wh, b in (fwd, bwd)))
+        np.testing.assert_allclose(out[:, 0], expected_fwd, atol=1e-12)
+        np.testing.assert_allclose(out[:, 1], expected_bwd, atol=1e-12)
 
     def test_reverse_is_row_aligned_flip(self):
-        # Running in reverse must equal flipping the sequence, running
-        # forward, and flipping the states back.
+        # With one weight triple in both directions, the reverse half must
+        # equal flipping the sequence, running forward, and flipping the
+        # states back.
         n, d_in, d_hid = 5, 3, 2
         emb = RNG.normal(size=(n, d_in))
-        wx, wh, b = self._params(d_in, d_hid)
-        fwd_on_flipped = ad.lstm_sequence(
-            Tensor(emb[::-1].copy()), Tensor(wx), Tensor(wh), Tensor(b)
-        ).data[::-1]
-        rev = ad.lstm_sequence(
-            Tensor(emb), Tensor(wx), Tensor(wh), Tensor(b), reverse=True
-        ).data
+        w = self._params(d_in, d_hid)
+        fwd_on_flipped = self._run(emb[::-1].copy(), w, w)[::-1, :d_hid]
+        rev = self._run(emb, w, w)[:, d_hid:]
         np.testing.assert_array_equal(rev, fwd_on_flipped)
 
     def test_single_token(self):
         emb = RNG.normal(size=(1, 3))
-        wx, wh, b = self._params(3, 2)
-        out = ad.lstm_sequence(Tensor(emb), Tensor(wx), Tensor(wh), Tensor(b))
-        assert out.data.shape == (1, 2)
-        assert np.all(np.isfinite(out.data))
+        out = self._run(emb, self._params(3, 2), self._params(3, 2))
+        assert out.shape == (1, 4)
+        assert np.all(np.isfinite(out))
+
+    def test_rejects_inconsistent_weights(self):
+        emb = Tensor(RNG.normal(size=(3, 3)))
+        good = tuple(map(Tensor, self._params(3, 2)))
+        for bad in (tuple(map(Tensor, self._params(3, 4))), tuple(map(Tensor, self._params(5, 2)))):
+            with pytest.raises(ValueError, match="lstm"):
+                ad.lstm_sequence(emb, good, bad)
 
 
 class TestTapeMechanics:

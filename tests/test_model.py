@@ -80,6 +80,14 @@ class TestEncode:
         assert H.data.shape == (1, TOY.d_h)
         assert np.all(np.isfinite(H.data))
 
+    def test_records_the_gather_and_one_lstm_node(self):
+        # both directions run as one node, whose output is H itself
+        with Tape() as tape:
+            H = encode_text(toy_doc(5), toy_params())
+        assert [fn.__qualname__.split(".")[0] for _, fn in tape._nodes] == [
+            "gather", "lstm_sequence"]
+        assert tape._nodes[-1][0] is H
+
     def test_zero_params_zero_states(self):
         params = toy_params()
         for _, t in params.named():

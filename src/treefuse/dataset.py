@@ -19,6 +19,12 @@ for ``check`` and of one key across a block for the block test. A record line
 ends at ``\\n`` only (a lone ``\\r`` does not end one), and is UTF-8; a
 block that fails in any way is read again line by line, which names the
 first faulty line. Each artefact states its spec once, beside its reader.
+
+Numbers follow one rule, ``as_number``'s: an int setting takes a Python or
+numpy integer, a float one any real number, numpy's included, neither a bool;
+it must be finite and at least its bound, is kept as a plain int or float,
+and anything else raises a ValueError naming it. ``from_fields`` builds a
+settings dataclass from a file's object of exactly its fields.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import json
 import math
 import sys
 from collections import Counter
+from contextlib import suppress
+from dataclasses import fields
 from itertools import islice, repeat
 from operator import itemgetter
 from types import GenericAlias, UnionType
@@ -152,12 +160,29 @@ def check_binary(targets, row: str = "row") -> None:
         raise ValueError(f"{where}: target {targets[tuple(bad[0])]} is not 0 or 1")
 
 
-def as_int(value, name: str) -> int:
-    """``value``, an integer (a numpy one too) but not a bool, as an int;
-    anything else raises ValueError naming ``name``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def as_number(value, name: str, low, kind: type = int):
+    """``value`` as a plain ``kind`` (int or float) by the module's number rule."""
+    real = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # float() of an int past float's range
+            number = kind(value)
+            if number >= low and (kind is int or math.isfinite(number)):
+                return number
+    raise ValueError(f"{name!r} must be {'an integer' if kind is int else 'a finite number'} "
+                     f">= {low}, got {value!r}")
+
+
+def from_fields(cls, payload: dict, where: str):
+    """Dataclass ``cls`` from ``payload``, an object of exactly its fields; a
+    missing or unknown key or a refused value raises DatasetError naming ``where``."""
+    names = [f.name for f in fields(cls)]
+    check(payload, dict.fromkeys(names, object), where)
+    if unknown := sorted(set(payload) - set(names)):
+        raise DatasetError(f"{where} has unknown keys {unknown}")
+    try:
+        return cls(**payload)
+    except ValueError as exc:
+        raise DatasetError(f"{where}: {exc}") from None
 
 
 def write_json(payload, path) -> None:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import as_number
+
 DEFAULT_THRESHOLD = 0.5
 
 
@@ -41,25 +43,25 @@ class PredictionBatch:
         return self.probs.shape[1]
 
 
-def _f1(batch: PredictionBatch, threshold: float, axis: int | None) -> np.ndarray:
-    """F1 of the decisions prob >= threshold, with tp, fp and fn summed
-    along ``axis`` (None pools every cell); 0 where 2 tp + fp + fn is 0."""
-    preds = batch.probs >= threshold
+def _f1(batch: PredictionBatch, axis: int | None) -> np.ndarray:
+    """F1 of the decisions prob >= DEFAULT_THRESHOLD, with tp, fp and fn
+    summed along ``axis`` (None pools every cell); 0 where 2 tp + fp + fn is 0."""
+    preds = batch.probs >= DEFAULT_THRESHOLD
     gold = batch.gold > 0
     tp = np.sum(preds & gold, axis=axis)
     denom = 2 * tp + np.sum(preds & ~gold, axis=axis) + np.sum(~preds & gold, axis=axis)
     return np.divide(2 * tp, denom, out=np.zeros(np.shape(denom)), where=denom > 0)
 
 
-def micro_f1(batch: PredictionBatch, threshold: float = DEFAULT_THRESHOLD) -> float:
+def micro_f1(batch: PredictionBatch) -> float:
     """F1 over all (document, label) decisions pooled into one confusion
-    matrix. Decisions are prob >= threshold."""
-    return float(_f1(batch, threshold, None))
+    matrix."""
+    return float(_f1(batch, None))
 
 
-def macro_f1(batch: PredictionBatch, threshold: float = DEFAULT_THRESHOLD) -> float:
+def macro_f1(batch: PredictionBatch) -> float:
     """Unweighted mean of per-label F1 over every label column."""
-    return float(np.mean(_f1(batch, threshold, 0)))
+    return float(np.mean(_f1(batch, 0)))
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -103,8 +105,7 @@ def macro_auc(batch: PredictionBatch) -> float:
 def precision_at_k(batch: PredictionBatch, k: int) -> float:
     """Per document, the fraction of the k highest-probability labels that
     are gold-positive; mean over documents. Ties prefer lower label index."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    k = as_number(k, "k", 1)
     if k > batch.n_labels:
         raise ValueError(f"k={k} exceeds the {batch.n_labels}-label space")
     # lexsort's last key is primary: probability descending, then index.

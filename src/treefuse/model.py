@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, backward
-from .dataset import _UNDECODABLE, Integer, as_int, check, check_binary
+from .dataset import _UNDECODABLE, as_number, check, check_binary, from_fields
 from .metrics import PredictionBatch, compute_all, micro_f1
 
 FUSION_MODES = ("attention", "average", "maxpool", "text_only")
@@ -56,12 +56,12 @@ class ModelDims:
     d_l: int = 30
 
     def __post_init__(self):
-        self.leaf_counts = tuple(as_int(c, "leaf_counts") for c in self.leaf_counts)
         for name in ("vocab_size", "n_labels", "d_e", "d_lstm", "d_t", "d_l"):
-            setattr(self, name, as_int(getattr(self, name), name))
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if any(c <= 0 for c in self.leaf_counts):
+            setattr(self, name, as_number(getattr(self, name), name, 1))
+        if not isinstance(self.leaf_counts, (list, tuple)):
+            raise ValueError(f"'leaf_counts' must be a list or tuple, got {self.leaf_counts!r}")
+        self.leaf_counts = tuple(as_number(c, "leaf_counts", 0) for c in self.leaf_counts)
+        if 0 in self.leaf_counts:
             raise ValueError("every tree needs at least one leaf")
 
     @property
@@ -216,8 +216,8 @@ def fuse(H: Tensor, leaf_matrix: Tensor | None, params: ModelParams,
         raise ValueError(f"unknown fusion mode {mode!r}")
     if mode == "text_only":
         return (H, None) if return_weights else H
-    if leaf_matrix is None:
-        raise ValueError(f"fusion mode {mode!r} needs a leaf matrix")
+    if leaf_matrix is None or not leaf_matrix.data.shape[1]:
+        raise ValueError(f"fusion mode {mode!r} needs a leaf matrix of at least one tree")
     n_tokens = H.data.shape[0]
     n_trees = leaf_matrix.data.shape[1]
 
@@ -338,6 +338,8 @@ def _checked_split(params: ModelParams, mode: str, docs, assignments,
     its 0/1 targets when given. Errors name the split, when given, and the
     first faulty document: a split that fails the whole-split test is
     checked again one document at a time."""
+    if mode in LEAF_MODES and not params.dims.n_trees:
+        raise ValueError(f"fusion mode {mode!r} needs at least one tree")
     at = "" if split is None else f"{split} split, "
     if assignments is None:
         assignments = [None] * len(docs)
@@ -491,11 +493,9 @@ class TrainSettings:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        self.epochs, self.seed = as_int(self.epochs, "epochs"), as_int(self.seed, "seed")
-        for name, low in (("epochs", 1), ("seed", 0), ("learning_rate", 0.0), ("clip_norm", 0.0)):
-            value = getattr(self, name)
-            if not low <= value < np.inf:
-                raise ValueError(f"{name} must be finite and >= {low}, got {value}")
+        for name, low, kind in (("epochs", 1, int), ("seed", 0, int),
+                                ("learning_rate", 0.0, float), ("clip_norm", 0.0, float)):
+            setattr(self, name, as_number(getattr(self, name), name, low, kind))
         if self.fusion_mode not in FUSION_MODES:
             raise ValueError(f"fusion_mode must be one of {FUSION_MODES}, "
                              f"got {self.fusion_mode!r}")
@@ -631,8 +631,6 @@ def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
 
 
 _META_SPEC = {"format_version": Literal[CHECKPOINT_FORMAT_VERSION], "dims": dict}
-_DIMS_SPEC = {"vocab_size": Integer, "n_labels": Integer, "leaf_counts": list[Integer],
-              "d_e": Integer, "d_lstm": Integer, "d_t": Integer, "d_l": Integer}
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
@@ -646,11 +644,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         except _UNDECODABLE as exc:
             raise ValueError(f"{path}: entry 'meta_json' is not JSON: {exc}") from None
         check(meta, _META_SPEC, f"{path} meta_json")
-        check(meta["dims"], _DIMS_SPEC, f"{path} dims")
-        try:
-            dims = ModelDims(**{key: meta["dims"][key] for key in _DIMS_SPEC})
-        except ValueError as exc:
-            raise ValueError(f"{path}: invalid dims: {exc}") from None
+        dims = from_fields(ModelDims, meta["dims"], f"{path} dims")
         tensors = {}
         for name, shape in param_shapes(dims).items():
             array = archive[name] if name in archive.files else None

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dataset import save_labels, save_notes, write_jsonl
+from .dataset import as_number, save_labels, save_notes, write_jsonl
 
 CATEGORY_CYCLE = ("lab_abnormal", "drug", "organism", "specimen", "antibiotic")
 
@@ -44,14 +44,17 @@ class SyntheticSpec:
     strengths: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name, low, kind in (("n_docs", 1, int), ("n_labels", 1, int), ("vocab_size", 1, int),
+                                ("doc_len_min", 4, int), ("doc_len_max", 4, int),
+                                ("n_ts_classes", 0, int), ("n_items", 0, int),
+                                ("n_singletons", 0, int), ("label_prior", 0.0, float)):
+            setattr(self, name, as_number(getattr(self, name), name, low, kind))
         if not self.sources:
             self.sources = tuple(
                 SOURCE_KINDS[l % len(SOURCE_KINDS)] for l in range(self.n_labels)
             )
-        if not self.strengths:
-            self.strengths = tuple(1.0 for _ in range(self.n_labels))
-        if self.n_docs <= 0 or self.n_labels <= 0:
-            raise ValueError("n_docs and n_labels must be positive")
+        self.strengths = tuple(as_number(s, "strengths", 0.0, float)
+                               for s in self.strengths or (1.0,) * self.n_labels)
         if len(self.sources) != self.n_labels:
             raise ValueError(
                 f"{len(self.sources)} sources for {self.n_labels} labels"
@@ -63,7 +66,7 @@ class SyntheticSpec:
         bad = [s for s in self.sources if s not in SOURCE_KINDS]
         if bad:
             raise ValueError(f"unknown signal sources: {bad}")
-        if any(not 0.0 <= s <= 1.0 for s in self.strengths):
+        if any(s > 1.0 for s in self.strengths):
             raise ValueError("strengths must lie in [0, 1]")
         if not 0.0 < self.label_prior < 1.0:
             raise ValueError(f"label_prior must be in (0, 1), got {self.label_prior}")
@@ -73,7 +76,7 @@ class SyntheticSpec:
                 f"vocab_size {self.vocab_size} too small for {self.n_labels} "
                 "marker bigrams plus background"
             )
-        if not 4 <= self.doc_len_min <= self.doc_len_max:
+        if self.doc_len_min > self.doc_len_max:
             raise ValueError("need 4 <= doc_len_min <= doc_len_max")
 
 
@@ -135,13 +138,7 @@ class GeneratedPaths:
     singletons: str
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "notes": self.notes,
-            "labels": self.labels,
-            "timeseries": self.timeseries,
-            "events": self.events,
-            "singletons": self.singletons,
-        }
+        return asdict(self)
 
 
 def _plant_bigram(tokens: list[str], used: set[int], pair, rng) -> None:
@@ -250,13 +247,8 @@ def generate_dataset(spec: SyntheticSpec, seed: int, out_dir) -> GeneratedPaths:
         notes[aid] = " ".join(tokens)
         labels[aid] = gold
 
-    paths = GeneratedPaths(
-        notes=os.path.join(out_dir, "notes.jsonl"),
-        labels=os.path.join(out_dir, "labels.jsonl"),
-        timeseries=os.path.join(out_dir, "timeseries.jsonl"),
-        events=os.path.join(out_dir, "events.jsonl"),
-        singletons=os.path.join(out_dir, "singletons.jsonl"),
-    )
+    paths = GeneratedPaths(**{f.name: os.path.join(out_dir, f"{f.name}.jsonl")
+                              for f in fields(GeneratedPaths)})
     save_notes(notes, paths.notes)
     save_labels(labels, paths.labels)
     write_jsonl(ts_rows, paths.timeseries)

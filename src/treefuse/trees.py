@@ -26,15 +26,14 @@ its preorder node list. A node is ``{"kind": "split", "column",
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, asdict
 from itertools import count
 from typing import Literal
 
 import numpy as np
 
-from .dataset import (FiniteNumber, Integer, as_int, check, check_binary, json_sha256, read_json,
-                      write_json)
+from .dataset import (FiniteNumber, Integer, as_number, check, check_binary, from_fields,
+                      json_sha256, read_json, write_json)
 
 # Boosting starts from a constant half-probability model, so the logistic
 # gradient is p0 - y and the hessian p0* (1 - p0).
@@ -56,12 +55,10 @@ class TreeTrainConfig:
     min_positives: int = 10
 
     def __post_init__(self):
-        for name in ("max_depth", "min_child_rows", "min_positives"):
-            setattr(self, name, as_int(getattr(self, name), name))
-        for name, low in (("max_depth", 0), ("min_child_rows", 1), ("min_positives", 0),
-                          ("learning_rate", 0.0), ("l2_lambda", 0.0)):
-            if not low <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= {low}, got {getattr(self, name)}")
+        for name, low, kind in (("max_depth", 0, int), ("learning_rate", 0.0, float),
+                                ("l2_lambda", 0.0, float), ("min_child_rows", 1, int),
+                                ("min_positives", 0, int)):
+            setattr(self, name, as_number(getattr(self, name), name, low, kind))
 
 
 @dataclass
@@ -356,8 +353,6 @@ _NODE_FIELDS = {
 }
 _ENSEMBLE_SPEC = {"format_version": Literal[FORMAT_VERSION], "config": dict,
                   "n_features": Integer, "trees": list[list[dict]]}
-_CONFIG_SPEC = {"max_depth": Integer, "learning_rate": FiniteNumber, "l2_lambda": FiniteNumber,
-                "min_child_rows": Integer, "min_positives": Integer}
 
 
 def _node_dict(node: TreeNode) -> dict:
@@ -403,14 +398,7 @@ def load_ensemble(path) -> TreeEnsemble:
     where = f"ensemble {path}"
     payload = read_json(path)
     check(payload, _ENSEMBLE_SPEC, where)
-    unknown = set(payload["config"]) - set(_CONFIG_SPEC)
-    if unknown:
-        raise ValueError(f"{where} config has unknown keys {sorted(unknown)}")
-    check(payload["config"], _CONFIG_SPEC, f"{where} config")
-    try:
-        config = TreeTrainConfig(**payload["config"])
-    except ValueError as exc:
-        raise ValueError(f"{where} config: {exc}") from None
+    config = from_fields(TreeTrainConfig, payload["config"], f"{where} config")
     n_features = payload["n_features"]
     if n_features < 0:
         raise ValueError(f"{where} has negative n_features {n_features}")

@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dataset import DatasetError, Integer, check, json_sha256, read_json, write_json
+from .dataset import DatasetError, Integer, as_number, check, json_sha256, read_json, write_json
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -39,8 +39,7 @@ class Vocabulary:
         A document with no surviving tokens encodes as a single unknown
         token so every document has at least one position.
         """
-        if max_len <= 0:
-            raise ValueError(f"max_len must be positive, got {max_len}")
+        max_len = as_number(max_len, "max_len", 1)
         ids = [
             self.token_to_id.get(tok, UNK_ID) for tok in clean_tokens(text)[:max_len]
         ]

@@ -207,6 +207,11 @@ class TestPrecisionAtK:
         with pytest.raises(ValueError):
             precision_at_k(b, 3)
 
+    @pytest.mark.parametrize("k", [True, 1.5, np.float64(1.0), "1", 0])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="'k'"):
+            precision_at_k(batch([[0.5, 0.5]], [[1.0, 0.0]]), k)
+
     def test_mean_over_documents(self):
         b = batch(
             [[0.9, 0.1], [0.9, 0.1]],

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings as run_settings, strategies as st
 
 from treefuse import autodiff as ad
 from treefuse import model as tm
@@ -17,6 +17,7 @@ from treefuse.autodiff import AdamState, Tape, Tensor, backward
 from treefuse.metrics import PredictionBatch, micro_f1, precision_at_k
 from treefuse.model import (
     FUSION_MODES,
+    LEAF_MODES,
     ModelDims,
     TrainSettings,
     assemble_leaf_matrix,
@@ -888,6 +889,58 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+# a small size, a Python or a numpy integer
+SIZES = st.integers(1, 4).flatmap(lambda n: st.sampled_from([n, np.int64(n), np.uint8(n)]))
+
+
+class TestDimsRoundTrip:
+    @run_settings(max_examples=50, deadline=None)
+    @given(sizes=st.fixed_dictionaries(dict.fromkeys(
+               ("vocab_size", "n_labels", "d_e", "d_lstm", "d_t", "d_l"), SIZES)),
+           leaf_counts=st.lists(SIZES, max_size=3))
+    def test_every_accepted_dims_round_trip(self, tmp_path_factory, sizes, leaf_counts):
+        dims = ModelDims(**sizes, leaf_counts=leaf_counts)
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.npz"
+        save_checkpoint(path, init_params(dims, np.random.default_rng(0)), {})
+        assert load_checkpoint(path)[0].dims == dims
+
+
+class TestZeroTrees:
+    """Without trees text_only still runs, and a mode that fuses leaves is
+    refused, naming the mode, before any work."""
+
+    DIMS = ModelDims(vocab_size=TOY.vocab_size, n_labels=3, d_e=4, d_lstm=3, d_t=4, d_l=3)
+
+    def split(self):
+        docs = [toy_doc(5), toy_doc(3)]
+        return docs, [np.zeros(0, dtype=np.int64)] * 2, np.array([[1.0, 0, 1], [0, 1, 0]])
+
+    @pytest.mark.parametrize("mode", LEAF_MODES)
+    def test_leaf_mode_refused(self, mode):
+        params = toy_params(self.DIMS)
+        before = params.snapshot()
+        docs, assignments, targets = self.split()
+        refused = pytest.raises(ValueError, match=f"fusion mode {mode!r} needs .*at least one tree")
+        with refused:
+            train_model(params, docs, assignments, targets, docs, assignments, targets,
+                        TrainSettings(epochs=1, seed=0, fusion_mode=mode))
+        with refused:
+            predict_matrix(params, docs, assignments, mode)
+        with refused:
+            forward(params, docs[0], assignments[0], mode)
+        for name, value in params.snapshot().items():
+            np.testing.assert_array_equal(value, before[name])
+
+    def test_text_only_runs(self):
+        params = toy_params(self.DIMS)
+        docs, assignments, targets = self.split()
+        train_model(params, docs, assignments, targets, docs, assignments, targets,
+                    TrainSettings(epochs=1, seed=0, fusion_mode="text_only"))
+        probs = predict_matrix(params, docs, assignments, "text_only")
+        np.testing.assert_allclose(
+            probs[0], forward(params, docs[0], assignments[0], "text_only").data, rtol=1e-12)
+
+
 class TestBadCheckpoint:
     """Each damaged archive is refused with a ValueError naming the file."""
 
@@ -922,6 +975,11 @@ class TestBadCheckpoint:
     def test_missing_dims_key(self, tmp_path):
         path = self.damaged(tmp_path, lambda arrays, meta: meta["dims"].pop("d_l"))
         with pytest.raises(ValueError, match="ckpt.npz dims.*'d_l'"):
+            load_checkpoint(path)
+
+    def test_unknown_dims_key_rejected(self, tmp_path):
+        path = self.damaged(tmp_path, lambda arrays, meta: meta["dims"].update(d_x=2))
+        with pytest.raises(ValueError, match=re.escape(f"{path} dims has unknown keys ['d_x']")):
             load_checkpoint(path)
 
     def test_invalid_dims(self, tmp_path):

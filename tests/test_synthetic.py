@@ -43,6 +43,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(n_labels=1, sources=("text",), strengths=(1.5,), vocab_size=60)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"n_items": -3}, "n_items"),
+        ({"n_docs": 2.5}, "n_docs"),
+        ({"doc_len_max": 60.5}, "doc_len_max"),
+        ({"n_labels": 2, "strengths": (1.0, True)}, "strengths"),
+    ])
+    def test_bad_number_refused_naming_it(self, fields, name):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            SyntheticSpec(**fields)
+
     def test_vocab_too_small(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_labels=20, vocab_size=40)

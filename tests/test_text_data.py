@@ -57,6 +57,14 @@ class TestVocabulary:
         ids = vocab.encode("a b c d e", max_len=2)
         assert len(ids) == 2
 
+    @pytest.mark.parametrize("max_len", [True, 2.5, np.float64(2.0), "2", 0])
+    def test_max_len_must_be_a_positive_integer(self, max_len):
+        with pytest.raises(ValueError, match="'max_len'"):
+            build_vocabulary(["a b c"]).encode("a b c", max_len=max_len)
+
+    def test_numpy_max_len_truncates(self):
+        assert len(build_vocabulary(["a b c"]).encode("a b c", max_len=np.int64(2))) == 2
+
     def test_empty_doc_encodes_to_unk(self):
         vocab = build_vocabulary(["alpha"])
         np.testing.assert_array_equal(vocab.encode("123 !!", max_len=5), [UNK_ID])

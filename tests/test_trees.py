@@ -536,6 +536,29 @@ class TestConfig:
                         learning_rate=0.0, l2_lambda=0.0)
 
 
+def counts(low):
+    """An integer of at least ``low``, a Python or a numpy one."""
+    return st.one_of(st.integers(low, 10**30), st.integers(low, 2**62).map(np.int64))
+
+
+# a real number >= 0 of each kind a float field takes, ints included
+REALS = st.one_of(st.floats(0.0, allow_infinity=False),
+                  st.floats(0.0, allow_infinity=False, width=32).map(np.float32),
+                  st.floats(0.0, allow_infinity=False).map(np.float64),
+                  st.integers(0, 10**300), st.integers(0, 2**62).map(np.int64))
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(max_depth=counts(0), learning_rate=REALS, l2_lambda=REALS,
+           min_child_rows=counts(1), min_positives=counts(0))
+    def test_every_accepted_config_round_trips(self, tmp_path_factory, **fields):
+        config = TreeTrainConfig(**fields)
+        path = tmp_path_factory.mktemp("ens") / "ensemble.json"
+        save_ensemble(TreeEnsemble([two_row_tree()], config, 1), path)
+        assert load_ensemble(path).config == config
+
+
 def corrupt(tmp_path, edit):
     """File of a one-tree ensemble (split, leaf 0, leaf 1) after ``edit`` of
     its payload."""

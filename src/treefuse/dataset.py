@@ -338,10 +338,11 @@ def _repeated(ids) -> list[str]:
 def split_ids(ids, ratios, seed) -> dict[str, list[str]]:
     """Disjoint covering train/val/test split by seeded shuffle.
 
-    The ids must be distinct, and the ratios finite, non-negative and
-    summing to 1. Boundaries are the rounded cumulative ratios; every part
-    must be nonempty.
+    The ids must be distinct, the seed an integer >= 0, and the ratios
+    finite, non-negative and summing to 1. Boundaries are the rounded
+    cumulative ratios; every part must be nonempty.
     """
+    seed = as_number(seed, "seed", 0)
     ids = list(ids)
     if len(ratios) != 3:
         raise DatasetError(f"need 3 split ratios, got {len(ratios)}")

@@ -200,28 +200,23 @@ def assemble_leaf_matrix(assignment: np.ndarray, params: ModelParams) -> Tensor:
     return ad.transpose2d(ad.gather(params.leaf_table, rows))
 
 
-def fuse(H: Tensor, leaf_matrix: Tensor | None, params: ModelParams,
-         mode: str, return_weights: bool = False):
+def fuse(H: Tensor, leaf_matrix: Tensor | None, params: ModelParams, mode: str) -> Tensor:
     """Blend each token vector with leaf content; N x d_m output.
 
     attention: per-token softmax over trees of (query . tree key) weights
     the leaf columns. average: uniform weights, identical for every token.
     maxpool: columnwise max of the leaf matrix for every token. text_only:
     the LSTM states pass through untouched.
-
-    With return_weights the per-token tree weights come back alongside M
-    (None for the modes that have no weights).
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
     if mode == "text_only":
-        return (H, None) if return_weights else H
+        return H
     if leaf_matrix is None or not leaf_matrix.data.shape[1]:
         raise ValueError(f"fusion mode {mode!r} needs a leaf matrix of at least one tree")
     n_tokens = H.data.shape[0]
     n_trees = leaf_matrix.data.shape[1]
 
-    alpha = None
     if mode == "attention":
         queries = ad.matmul(H, params.query_proj, tb=True)
         # The consistent product keeps duplicate tree keys bitwise equal in
@@ -237,16 +232,14 @@ def fuse(H: Tensor, leaf_matrix: Tensor | None, params: ModelParams,
         pulled = ad.repeat_rows(peak, n_tokens)
 
     joined = ad.concat([H, pulled], axis=1)
-    M = ad.matmul(joined, params.fuse_proj, tb=True)
-    return (M, alpha) if return_weights else M
+    return ad.matmul(joined, params.fuse_proj, tb=True)
 
 
-def label_attention(M: Tensor, label_attn: Tensor, return_weights: bool = False):
+def label_attention(M: Tensor, label_attn: Tensor) -> Tensor:
     """Per-label softmax over token positions; n_labels x d_m output."""
     scores = ad.matmul(M, label_attn)
     attn = ad.softmax(scores, axis=0)
-    V = ad.matmul(attn, M, ta=True)
-    return (V, attn) if return_weights else V
+    return ad.matmul(attn, M, ta=True)
 
 
 def predict(V: Tensor, params: ModelParams) -> Tensor:

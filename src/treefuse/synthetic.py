@@ -155,7 +155,7 @@ def _plant_bigram(tokens: list[str], used: set[int], pair, rng) -> None:
 
 def generate_dataset(spec: SyntheticSpec, seed: int, out_dir) -> GeneratedPaths:
     """Write the five dataset files for (spec, seed) into out_dir."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_number(seed, "seed", 0))
     os.makedirs(out_dir, exist_ok=True)
 
     n_background = spec.vocab_size - 2 * spec.n_labels

@@ -10,12 +10,15 @@ Feature matrices are float64 with NaN marking missing cells. Missing rows
 are routed to whichever child gives the higher split gain, and that default
 direction is stored on the node.
 
-Training sorts each column once, a stable sort with NaN last. A node holds,
+Training sorts each column once, a stable sort with NaN last. A node is,
 for every column, its rows in that column's order together with their
-values and targets; a child keeps its parent's arrays filtered to its own
-rows, which keeps the order, so no node sorts again. A node's split search
-scores only the real cuts, between adjacent distinct present values of a
-column, with their midpoint as the threshold.
+values and targets, and nothing else; a child keeps its parent's arrays
+filtered to its own rows, which keeps the order, so no node sorts again. A
+node's split search scores only the real cuts, between adjacent distinct
+present values of a column, with their midpoint as the threshold. With one
+boosting round from a constant model every gradient and hessian is fixed
+by the row's target, so a leaf's weight comes from its node's row and
+positive counts alone.
 
 An ensemble file (format version 2) holds ``format_version``, the training
 ``config``, ``n_features`` and ``trees``: tree t, the tree of label t, is
@@ -244,51 +247,46 @@ def train_tree(
         raise ValueError(f"column order shape {order.shape} does not match features "
                          f"{features.shape}")
 
-    g = BASE_PROB - targets
-    h = np.full(len(targets), HESSIAN)
     tree = DecisionTree()
     leaf_ids = count()
     n_cols = features.shape[1]
     # a split's side for each row; a node writes its own rows before reading them
     goes_left = np.empty(len(targets), dtype=bool)
 
-    def make_leaf(rows: np.ndarray) -> int:
-        idx = len(tree.nodes)
-        g_sum = g[rows].sum()
-        h_sum = h[rows].sum()
+    def make_leaf(n_rows: int, n_pos: int) -> None:
+        # every g is BASE_PROB - y and every h HESSIAN: each sum is exact
+        g_sum = BASE_PROB * n_rows - n_pos
+        h_sum = HESSIAN * n_rows
         weight = -config.learning_rate * g_sum / (h_sum + config.l2_lambda)
         tree.nodes.append(TreeNode(leaf_id=next(leaf_ids), weight=weight))
-        return idx
 
-    def build(rows, order, xs, ys, depth: int) -> int:
+    def build(order, xs, ys, depth: int) -> int:
+        idx = len(tree.nodes)
         split = _best_split(xs, ys, config) if depth < config.max_depth else None
         if split is None:
-            return make_leaf(rows)
+            make_leaf(ys.shape[1], np.count_nonzero(ys[0]))
+            return idx
         _, col, thr, default_left = split
         v = xs[col]
         goes_left[order[col]] = np.where(np.isnan(v), default_left, v < thr)
         left = goes_left[order].ravel()
-        row_left = goes_left[rows]
-        idx = len(tree.nodes)
-        tree.nodes.append(TreeNode())
+        node = TreeNode(column=col, threshold=thr, default_left=default_left)
+        tree.nodes.append(node)
 
-        def child(keep, row_keep):
-            return build(rows[row_keep], *(np.compress(keep, a.ravel()).reshape(n_cols, -1)
-                                           for a in (order, xs, ys)), depth + 1)
+        def child(keep):
+            return build(*(np.compress(keep, a.ravel()).reshape(n_cols, -1)
+                           for a in (order, xs, ys)), depth + 1)
 
-        left_idx = child(left, row_left)
-        right_idx = child(~left, ~row_left)
-        tree.nodes[idx] = TreeNode(
-            column=col, threshold=thr, default_left=default_left,
-            left=left_idx, right=right_idx,
-        )
+        node.left = child(left)
+        node.right = child(~left)
         return idx
 
-    all_rows = np.arange(features.shape[0])
-    if int(targets.sum()) < config.min_positives:
-        make_leaf(all_rows)
+    n_pos = int(targets.sum())
+    # with no columns a node's arrays hold no rows to count
+    if n_pos < config.min_positives or not n_cols:
+        make_leaf(len(targets), n_pos)
     else:
-        build(all_rows, order, np.take_along_axis(features.T, order, axis=1), targets[order], 0)
+        build(order, np.take_along_axis(features.T, order, axis=1), targets[order], 0)
     return tree
 
 

@@ -201,12 +201,6 @@ class TestFuse:
         )
         np.testing.assert_allclose(M.data, expected, atol=1e-12)
 
-    def test_attention_weights_rows_sum_to_one(self):
-        _, alpha = fuse(self.H, self.L, self.params, "attention",
-                        return_weights=True)
-        np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(alpha.data >= 0.0)
-
     def test_text_only_returns_h_itself(self):
         M = fuse(self.H, None, self.params, "text_only")
         assert M is self.H
@@ -240,19 +234,17 @@ class TestLabelAttention:
     def test_hand_case(self):
         M = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         U = Tensor(np.eye(2))
-        V, A = label_attention(M, U, return_weights=True)
+        V = label_attention(M, U)
         e = np.e
         z = 2 * e + 1
         expected_v = np.array([[2 * e / z, (1 + e) / z],
                                [(1 + e) / z, 2 * e / z]])
         np.testing.assert_allclose(V.data, expected_v, atol=1e-12)
-        np.testing.assert_allclose(A.data.sum(axis=0), 1.0, atol=1e-9)
 
     def test_single_token(self):
         M = Tensor(np.array([[3.0, -1.0]]))
         U = Tensor(RNG.normal(size=(2, 4)))
-        V, A = label_attention(M, U, return_weights=True)
-        np.testing.assert_array_equal(A.data, np.ones((1, 4)))
+        V = label_attention(M, U)
         np.testing.assert_array_equal(V.data, np.tile(M.data, (4, 1)))
 
     def test_zero_scores_average_rows(self):

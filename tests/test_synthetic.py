@@ -85,6 +85,12 @@ class TestDeterminism:
         p2 = generate_dataset(spec, seed=43, out_dir=tmp_path / "b")
         assert read_all(p1) != read_all(p2)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
+    def test_seed_that_is_not_a_non_negative_integer_refused(self, tmp_path, seed):
+        with pytest.raises(ValueError, match="'seed' must be an integer >= 0"):
+            generate_dataset(lift_spec(n_docs=4), seed=seed, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSignals:
     def test_files_loadable_and_consistent(self, tmp_path):

@@ -208,6 +208,11 @@ class TestSplit:
         with pytest.raises(DatasetError, match=re.escape("repeated admission ids ['d3', 'd7']")):
             split_ids(ids, (0.6, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
+    def test_seed_that_is_not_a_non_negative_integer_refused(self, seed):
+        with pytest.raises(ValueError, match="'seed' must be an integer >= 0"):
+            split_ids([f"d{i}" for i in range(10)], (0.6, 0.2, 0.2), seed=seed)
+
     def test_same_seed_identical(self):
         ids = [f"d{i}" for i in range(30)]
         p1 = split_ids(ids, (0.7, 0.15, 0.15), seed=9)
